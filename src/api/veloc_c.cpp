@@ -76,6 +76,20 @@ api::VelocClient* ClientFor(int rank) {
   return g_ctx->clients[static_cast<std::size_t>(rank)].get();
 }
 
+/// Checks a durable tier's backend spec ("mem", "file=<dir>" or
+/// "s3://<bucket>[?opts]") without opening anything.
+util::Status CheckBackend(std::string_view tier, std::string_view backend) {
+  if (backend.empty() || backend == "mem" || backend.substr(0, 5) == "file=") {
+    return util::OkStatus();
+  }
+  if (backend.substr(0, 5) == "s3://") {
+    return storage::RemoteOptions::Parse(backend).status();
+  }
+  return util::InvalidArgument("tier '" + std::string(tier) +
+                               "': unknown backend '" + std::string(backend) +
+                               "' (want mem, file=<dir> or s3://<bucket>)");
+}
+
 }  // namespace
 
 extern "C" {
@@ -89,39 +103,10 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
   if (!parsed.ok()) return FromStatus(parsed.status());
   const util::Config& cfg = *parsed;
 
-  // Tracing knobs: explicit config keys override the CKPT_TRACE* environment
-  // seed; absent keys leave the seeded values alone.
-  if (cfg.Has("trace") || cfg.Has("trace_out") || cfg.Has("trace_capacity")) {
-    const bool trace_on = cfg.GetBool("trace", util::trace::enabled());
-    const auto trace_cap =
-        static_cast<std::size_t>(cfg.GetInt("trace_capacity", 0));
-    util::trace::Configure(trace_on, trace_cap,
-                           cfg.GetString("trace_out", util::trace::out_path()));
-  }
-
-  // Telemetry knobs, same precedence: config keys override the
-  // CKPT_TELEMETRY* environment seed; absent keys keep the seeded values.
-  if (cfg.Has("telemetry") || cfg.Has("telemetry_period_ms") ||
-      cfg.Has("telemetry_window") || cfg.Has("telemetry_out") ||
-      cfg.Has("telemetry_watchdog") || cfg.Has("telemetry_stall_ms") ||
-      cfg.Has("telemetry_stall_windows") || cfg.Has("telemetry_strict")) {
-    util::telemetry::Settings ts = util::telemetry::settings();
-    ts.enabled = cfg.GetBool("telemetry", ts.enabled);
-    ts.period_ms = cfg.GetInt("telemetry_period_ms", ts.period_ms);
-    ts.window = static_cast<std::size_t>(
-        cfg.GetInt("telemetry_window", static_cast<std::int64_t>(ts.window)));
-    ts.out_path = cfg.GetString("telemetry_out", ts.out_path);
-    ts.watchdog = cfg.GetBool("telemetry_watchdog", ts.watchdog);
-    ts.stall_ms = cfg.GetInt("telemetry_stall_ms", ts.stall_ms);
-    ts.stall_windows = static_cast<int>(
-        cfg.GetInt("telemetry_stall_windows", ts.stall_windows));
-    ts.strict = cfg.GetBool("telemetry_strict", ts.strict);
-    util::telemetry::Configure(ts);
-  }
-
-  auto ctx = std::make_unique<GlobalContext>();
-  ctx->cluster = std::make_unique<sim::Cluster>(sim::TopologyConfig::Scaled());
-  if (num_ranks > ctx->cluster->total_gpus()) {
+  // Fail fast: every key is validated before anything is configured or
+  // built, so a rejected config costs a parse, not a cluster.
+  const sim::TopologyConfig topo_cfg = sim::TopologyConfig::Scaled();
+  if (num_ranks > topo_cfg.total_gpus()) {
     return Fail(VELOCX_EINVAL, "num_ranks exceeds simulated GPUs");
   }
 
@@ -157,14 +142,67 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
   // ("name:kind[:arg[:policy]],..." — see core/tier_stack.hpp); without it
   // the classic GPU -> host -> SSD [-> PFS] stack is built from the legacy
   // gpu_cache/host_cache/terminal_tier keys.
-  const sim::Topology& topo = ctx->cluster->topology();
-  const auto open_backend =
-      [&topo](std::string_view tier, std::string_view backend)
-      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-    if (backend.empty() || backend == "mem") {
+  if (cfg.Has("tiers")) {
+    // Dry run over in-memory stand-ins: the grammar, capacities, policies,
+    // terminal tier and backend specs are all checked, nothing is opened.
+    const core::TierStoreFactory check =
+        [](std::string_view tier, std::string_view backend, int)
+        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+      if (auto st = CheckBackend(tier, backend); !st.ok()) return st;
       return std::shared_ptr<storage::ObjectStore>(
           std::make_shared<storage::MemStore>());
+    };
+    if (auto st = core::TierStackFromConfig(cfg, check); !st.ok()) {
+      return FromStatus(st.status());
     }
+  } else {
+    const std::string terminal = cfg.GetString("terminal_tier", "ssd");
+    if (terminal == "ssd") {
+      opts.terminal_tier = core::Tier::kSsd;
+    } else if (terminal == "pfs") {
+      opts.terminal_tier = core::Tier::kPfs;
+    } else {
+      return Fail(VELOCX_EINVAL, "unknown terminal tier '" + terminal + "'");
+    }
+  }
+
+  // Tracing knobs: explicit config keys override the CKPT_TRACE* environment
+  // seed; absent keys leave the seeded values alone.
+  if (cfg.Has("trace") || cfg.Has("trace_out") || cfg.Has("trace_capacity")) {
+    const bool trace_on = cfg.GetBool("trace", util::trace::enabled());
+    const auto trace_cap =
+        static_cast<std::size_t>(cfg.GetInt("trace_capacity", 0));
+    util::trace::Configure(trace_on, trace_cap,
+                           cfg.GetString("trace_out", util::trace::out_path()));
+  }
+
+  // Telemetry knobs, same precedence: config keys override the
+  // CKPT_TELEMETRY* environment seed; absent keys keep the seeded values.
+  if (cfg.Has("telemetry") || cfg.Has("telemetry_period_ms") ||
+      cfg.Has("telemetry_window") || cfg.Has("telemetry_out") ||
+      cfg.Has("telemetry_watchdog") || cfg.Has("telemetry_stall_ms") ||
+      cfg.Has("telemetry_stall_windows") || cfg.Has("telemetry_strict")) {
+    util::telemetry::Settings ts = util::telemetry::settings();
+    ts.enabled = cfg.GetBool("telemetry", ts.enabled);
+    ts.period_ms = cfg.GetInt("telemetry_period_ms", ts.period_ms);
+    ts.window = static_cast<std::size_t>(
+        cfg.GetInt("telemetry_window", static_cast<std::int64_t>(ts.window)));
+    ts.out_path = cfg.GetString("telemetry_out", ts.out_path);
+    ts.watchdog = cfg.GetBool("telemetry_watchdog", ts.watchdog);
+    ts.stall_ms = cfg.GetInt("telemetry_stall_ms", ts.stall_ms);
+    ts.stall_windows = static_cast<int>(
+        cfg.GetInt("telemetry_stall_windows", ts.stall_windows));
+    ts.strict = cfg.GetBool("telemetry_strict", ts.strict);
+    util::telemetry::Configure(ts);
+  }
+
+  auto ctx = std::make_unique<GlobalContext>();
+  ctx->cluster = std::make_unique<sim::Cluster>(topo_cfg);
+  const sim::Topology& topo = ctx->cluster->topology();
+  // Backend specs were vetted by CheckBackend above; opening them can
+  // still fail (an unwritable file= directory).
+  const auto open_backend = [&topo](std::string_view backend)
+      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
     if (backend.substr(0, 5) == "file=") {
       auto fs = storage::FileStore::Open(std::string(backend.substr(5)));
       if (!fs.ok()) return fs.status();
@@ -173,16 +211,15 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
     if (backend.substr(0, 5) == "s3://") {
       return storage::OpenRemoteBackend(backend, &topo);
     }
-    return util::InvalidArgument("tier '" + std::string(tier) +
-                                 "': unknown backend '" + std::string(backend) +
-                                 "' (want mem, file=<dir> or s3://<bucket>)");
+    return std::shared_ptr<storage::ObjectStore>(
+        std::make_shared<storage::MemStore>());
   };
   if (cfg.Has("tiers")) {
     const core::TierStoreFactory factory =
-        [&topo, &open_backend](std::string_view tier, std::string_view backend,
+        [&topo, &open_backend](std::string_view, std::string_view backend,
                                int ordinal)
         -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      auto raw = open_backend(tier, backend);
+      auto raw = open_backend(backend);
       if (!raw.ok()) return raw.status();
       // Remote backends model their own fabric charges (per-request latency
       // plus uplink bandwidth inside RemoteStore) — wrapping them in the
@@ -198,17 +235,9 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
     ctx->engine = std::make_unique<core::Engine>(
         *ctx->cluster, std::move(**stack), opts, num_ranks);
   } else {
-    const std::string terminal = cfg.GetString("terminal_tier", "ssd");
-    if (terminal == "ssd") {
-      opts.terminal_tier = core::Tier::kSsd;
-    } else if (terminal == "pfs") {
-      opts.terminal_tier = core::Tier::kPfs;
-    } else {
-      return Fail(VELOCX_EINVAL, "unknown terminal tier '" + terminal + "'");
-    }
     const std::string ssd_dir = cfg.GetString("ssd_dir", "");
     const std::string ssd_backend = ssd_dir.empty() ? "" : "file=" + ssd_dir;
-    auto ssd_raw = open_backend("ssd", ssd_backend);
+    auto ssd_raw = open_backend(ssd_backend);
     if (!ssd_raw.ok()) return FromStatus(ssd_raw.status());
     ctx->ssd = storage::MakeSsdStore(topo, std::move(*ssd_raw));
     ctx->pfs = storage::MakePfsStore(topo, std::make_shared<storage::MemStore>());

@@ -253,13 +253,16 @@ void Engine::Init(int num_ranks) {
     }
 
     // Pre-allocate and pin the host-side caches (slow: ~4 GB/s
-    // registration) — inline by default, or on a background thread with
-    // async_pin_init ([Maurya et al., HiPC'22]): the application starts
-    // checkpointing into the device cache immediately while the pinned
-    // tiers register.
+    // registration) on the rank's own bring-up thread, so ranks register
+    // concurrently as one process per GPU would. Inline init (the default)
+    // joins these threads before the constructor returns; async_pin_init
+    // ([Maurya et al., HiPC'22]) leaves them running: the application
+    // starts checkpointing into the device cache immediately while the
+    // pinned tiers register.
     const int node = cluster_.topology().node_of_rank(r);
+    if (options_.async_pin_init) c->metrics.init_s = init_sw.ElapsedSec();
     RankCtx* cp = c.get();
-    auto build_pinned = [this, cp, node, ncache, build_bufs] {
+    c->t_pin = std::jthread([this, cp, node, ncache, build_bufs, init_sw] {
       for (int i = 0; i < ncache; ++i) {
         if (stack_.is_device(i)) continue;
         CacheTierRt& t = *cp->tiers[static_cast<std::size_t>(i)];
@@ -273,14 +276,12 @@ void Engine::Init(int num_ranks) {
         // Only reservations can be parked on an unready tier.
         t.cv_reserve.notify_all();
       }
-    };
-    if (options_.async_pin_init) {
-      c->t_pin = std::jthread(build_pinned);
-    } else {
-      build_pinned();
-    }
-
-    c->metrics.init_s = init_sw.ElapsedSec();
+      if (!options_.async_pin_init) {
+        // Inline init: the rank's init time includes its own registration.
+        std::lock_guard lock(cp->mu);
+        cp->metrics.init_s = init_sw.ElapsedSec();
+      }
+    });
 
     // Dedicated background threads (§4.3.1): one flush stage per cache
     // tier plus the prefetcher.
@@ -292,6 +293,10 @@ void Engine::Init(int num_ranks) {
     c->t_pf = std::jthread([this, ctx_ptr] { PrefetchLoop(*ctx_ptr); });
 
     ranks_.push_back(std::move(c));
+  }
+  // Inline init: every tier is ready before the application gets the engine.
+  if (!options_.async_pin_init) {
+    for (auto& c : ranks_) c->t_pin.join();
   }
 }
 
@@ -1791,6 +1796,14 @@ std::uint64_t Engine::CacheUsed(sim::Rank rank, TierIndex tier) const {
   std::uint64_t used = t.write_buf->used_bytes();
   if (t.prefetch_buf) used += t.prefetch_buf->used_bytes();
   return used;
+}
+
+const sim::PinnedArena* Engine::PinnedArenaOf(sim::Rank rank,
+                                              TierIndex tier) const {
+  // Lock-free like CacheUsed: `arena` is set before `ready` is released.
+  if (tier < 0 || !stack_.is_cache(tier)) return nullptr;
+  const CacheTierRt& t = *ctx(rank).tiers[static_cast<std::size_t>(tier)];
+  return t.ready.load(std::memory_order_acquire) ? t.arena.get() : nullptr;
 }
 
 std::uint64_t Engine::GpuCacheUsed(sim::Rank rank) const {

@@ -93,11 +93,11 @@ struct EngineOptions {
   std::vector<double> host_cache_weights;
 
   /// EXTENSION ([Maurya et al., HiPC'22], cited as complementary in
-  /// §4.1.4): hide the slow pinned host-cache registration by performing it
-  /// on a background thread at init. Checkpoint() returns immediately from
-  /// engine construction; the first flush into a pinned tier waits until
-  /// that tier is registered. Restores and device-cache writes are
-  /// unaffected.
+  /// §4.1.4): hide the slow pinned host-cache registration from the
+  /// application. Engine construction returns without waiting for the
+  /// per-rank registration threads, so Checkpoint() works immediately; the
+  /// first flush into a pinned tier waits until that tier is registered.
+  /// Restores and device-cache writes are unaffected.
   bool async_pin_init = false;
 
   /// EXTENSION (paper §6 future work): GPUDirect Storage. Flushes move
@@ -264,6 +264,10 @@ class Engine final : public Runtime {
   [[nodiscard]] util::StatusOr<Tier> DurableTierOf(sim::Rank rank, Version v) const;
   /// Used bytes of cache tier `tier` (0 while a pinned tier registers).
   [[nodiscard]] std::uint64_t CacheUsed(sim::Rank rank, TierIndex tier) const;
+  /// The pinned arena behind cache tier `tier` of `rank`; nullptr for a
+  /// device tier or while the arena is still registering (async_pin_init).
+  [[nodiscard]] const sim::PinnedArena* PinnedArenaOf(sim::Rank rank,
+                                                      TierIndex tier) const;
   /// Legacy aliases: the device tier's usage, and the summed usage of the
   /// pinned-host cache tiers.
   [[nodiscard]] std::uint64_t GpuCacheUsed(sim::Rank rank) const;
@@ -565,7 +569,7 @@ class Engine final : public Runtime {
     bool shutdown = false;
 
     std::vector<std::unique_ptr<CacheTierRt>> tiers;  ///< cache tiers only
-    std::jthread t_pin;  ///< async_pin_init worker
+    std::jthread t_pin;  ///< pinned-tier bring-up
 
     std::uint64_t inflight_flushes = 0;       ///< records not yet flush_done
     std::uint64_t prefetched_pinned_bytes = 0;

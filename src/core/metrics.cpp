@@ -1,5 +1,7 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
+
 namespace ckpt::core {
 
 void RankMetrics::Merge(const RankMetrics& other) {
@@ -66,7 +68,7 @@ void RankMetrics::Merge(const RankMetrics& other) {
   watchdog_fsm_stalls += other.watchdog_fsm_stalls;
   watchdog_flush_stalls += other.watchdog_flush_stalls;
   watchdog_reserve_stalls += other.watchdog_reserve_stalls;
-  init_s += other.init_s;
+  init_s = std::max(init_s, other.init_s);
   restore_series.insert(restore_series.end(), other.restore_series.begin(),
                         other.restore_series.end());
 }

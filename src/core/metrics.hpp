@@ -114,7 +114,8 @@ struct RankMetrics {
   // failure rate (those have their own counters above).
   std::vector<util::LogHistogram> durable_lag_hist;
 
-  // Engine init cost (slow pinned host-cache allocation, §5.4.2).
+  // Engine init cost (slow pinned host-cache allocation, §5.4.2). Ranks
+  // come up concurrently, so Merge keeps the slowest rank's, not the sum.
   double init_s = 0.0;
 
   std::vector<RestorePoint> restore_series;

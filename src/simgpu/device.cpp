@@ -1,6 +1,7 @@
 #include "simgpu/device.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace ckpt::sim {
 
@@ -14,7 +15,9 @@ Device::Device(GpuId id, std::uint64_t capacity, util::RateLimiter* alloc_limite
     : id_(id),
       capacity_(AlignUp(capacity, kAlignment)),
       alloc_limiter_(alloc_limiter),
-      arena_(std::make_unique<std::byte[]>(capacity_)) {
+      // Default-initialised: the OS commits pages only when Allocate zeroes
+      // the range it grants, so an idle arena costs no RSS.
+      arena_(std::make_unique_for_overwrite<std::byte[]>(capacity_)) {
   free_list_[0] = capacity_;
 }
 
@@ -46,6 +49,10 @@ util::StatusOr<BytePtr> Device::Allocate(std::uint64_t n) {
       alloc_limiter_->Acquire(std::min(kChunk, need - paid));
     }
   }
+  // Commit the granted range here, where allocation is charged, so its
+  // first-touch page faults never land inside a timed copy. It also makes
+  // every allocation read as zero, reused blocks included.
+  std::memset(arena_.get() + offset, 0, need);
   return arena_.get() + offset;
 }
 

@@ -2,6 +2,8 @@
 // suballocator. Allocation pays a modeled cost (HBM allocation bandwidth,
 // §4.1.4 of the paper motivates paying it once up front), which the
 // checkpoint runtime amortizes by pre-allocating its cache buffer at init.
+// The arena is reserved up front but committed range by range: Allocate
+// zeroes what it grants, so host pages back only the HBM actually handed out.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,9 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// Allocates `n` bytes of "HBM" (256-byte aligned). Blocks for the modeled
-  /// allocation cost. Fails with kOutOfMemory when no fragment fits.
+  /// Allocates `n` bytes of "HBM" (256-byte aligned), zero-filled. Blocks
+  /// for the modeled allocation cost. Fails with kOutOfMemory when no
+  /// fragment fits.
   util::StatusOr<BytePtr> Allocate(std::uint64_t n);
 
   /// Releases a pointer previously returned by Allocate.

@@ -154,6 +154,25 @@ TEST_F(VelocCApiTest, InvalidTiersConfigIsRejectedAtInit) {
             VELOCX_SUCCESS);
 }
 
+TEST_F(VelocCApiTest, RejectedConfigConfiguresNothing) {
+  // Every key is validated before any side effect: the trace knobs of a
+  // config rejected for its backend spec never reach the trace subsystem.
+  ckpt::util::trace::Disable();
+  EXPECT_EQ(VELOCX_Init("trace = true, "
+                        "tiers = host:cache:1Mi;ssd:durable:tape://x",
+                        1),
+            VELOCX_EINVAL);
+  EXPECT_NE(std::string(VELOCX_Error_string()).find("unknown backend"),
+            std::string::npos);
+  EXPECT_FALSE(ckpt::util::trace::enabled());
+  EXPECT_EQ(VELOCX_Init("trace = true, "
+                        "tiers = host:cache:1Mi;r:durable:s3://b?part=0",
+                        1),
+            VELOCX_EINVAL);
+  EXPECT_FALSE(ckpt::util::trace::enabled());
+  EXPECT_EQ(VELOCX_Checkpoint(0, "x", 0), VELOCX_EINVAL);
+}
+
 TEST_F(VelocCApiTest, MetricsSnapshotJsonWritesParseableFile) {
   ASSERT_EQ(VELOCX_Init("gpu_cache = 256Ki, host_cache = 1Mi", 1),
             VELOCX_SUCCESS);

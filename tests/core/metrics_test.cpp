@@ -139,6 +139,22 @@ TEST(RankMetricsTest, MergeAccumulatesLatencyHistograms) {
   EXPECT_DOUBLE_EQ(a.ckpt_block_hist.sum(), 1e-3 + 1e-2);
 }
 
+TEST(RankMetricsTest, MergedInitIsTimeToReadyNotRankSeconds) {
+  // Ranks bring their caches up concurrently: the merged init time is the
+  // slowest rank's, whichever order the ranks merge in.
+  RankMetrics a;
+  a.init_s = 0.25;
+  RankMetrics b;
+  b.init_s = 0.75;
+  RankMetrics c;
+  c.init_s = 0.5;
+  RankMetrics merged;
+  merged.Merge(a);
+  merged.Merge(b);
+  merged.Merge(c);
+  EXPECT_DOUBLE_EQ(merged.init_s, 0.75);
+}
+
 TEST(RankMetricsTest, MergeWithEmpty) {
   RankMetrics a;
   a.bytes_restored = 5;

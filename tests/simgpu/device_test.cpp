@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -108,6 +109,23 @@ TEST(DeviceTest, RandomAllocFreeStress) {
   for (BytePtr p : live) ASSERT_TRUE(dev.Free(p).ok());
   EXPECT_EQ(dev.used(), 0u);
   EXPECT_EQ(dev.largest_free_block(), dev.capacity());
+}
+
+TEST(DeviceTest, ReallocatedBlockReadsAsZero) {
+  Device dev({0, 0}, 4 << 10, nullptr);
+  auto a = dev.Allocate(1 << 10);
+  auto b = dev.Allocate(1 << 10);
+  ASSERT_TRUE(a.ok() && b.ok());
+  std::memset(*a, 0xAB, 1 << 10);
+  std::memset(*b, 0xCD, 1 << 10);
+  ASSERT_TRUE(dev.Free(*a).ok());
+  ASSERT_TRUE(dev.Free(*b).ok());
+  // First fit hands the dirtied (and coalesced) range straight back.
+  auto c = dev.Allocate(2 << 10);
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(*c, *a);
+  const std::vector<std::byte> zeros(2 << 10);
+  EXPECT_EQ(std::memcmp(*c, zeros.data(), zeros.size()), 0);
 }
 
 TEST(DeviceTest, AllocLimiterChargesCost) {
