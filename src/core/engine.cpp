@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cctype>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 
 #include "simgpu/copy.hpp"
@@ -26,6 +27,9 @@ constexpr auto kReplanMax = std::chrono::milliseconds(20);
 /// headroom, ReserveOn returns kCapacityExceeded and the caller falls back
 /// to a deeper tier (DESIGN.md §12).
 constexpr int kQuotaRoundsMax = 5;
+/// Salts the durable drain's retry-jitter stream apart from the
+/// prefetcher's, with which it shares a stream number.
+constexpr std::uint64_t kDrainRngSalt = 0x9E3779B97F4A7C15ull;
 
 storage::ObjectKey KeyOf(sim::Rank rank, Version v) {
   return storage::ObjectKey{rank, v};
@@ -159,7 +163,8 @@ void Engine::Init(int num_ranks) {
 
   // Drain-bandwidth estimate per cache tier, toward the next tier down:
   // device tiers drain over their PCIe link, host->host over DDR, and the
-  // last cache tier into the NVMe-backed first durable tier.
+  // last cache tier into the NVMe-backed first durable tier — its copy is
+  // released once it lands there; the durable drain writes deeper tiers.
   drain_bw_.resize(static_cast<std::size_t>(ncache));
   for (int i = 0; i < ncache; ++i) {
     std::uint64_t bw = 0;
@@ -291,6 +296,11 @@ void Engine::Init(int num_ranks) {
           std::jthread([this, ctx_ptr, i] { FlushStageLoop(*ctx_ptr, i); });
     }
     c->t_pf = std::jthread([this, ctx_ptr] { PrefetchLoop(*ctx_ptr); });
+    // Only a stack whose terminal tier sits below another durable tier can
+    // land a copy short of the terminal.
+    if (stack_.terminal_ordinal() > 0) {
+      c->t_drain = std::jthread([this, ctx_ptr] { DurableDrainLoop(*ctx_ptr); });
+    }
 
     ranks_.push_back(std::move(c));
   }
@@ -322,6 +332,11 @@ void Engine::Shutdown() {
     for (auto& t : c->tiers) {
       if (t->worker.joinable()) t->worker.join();
     }
+    // The cache stages (and so every landing) have finished: close the
+    // drain only now so their last hand-offs are still accepted. Like the
+    // flush stages, it disposes of its remaining items before exiting.
+    c->drain_q.Close();
+    if (c->t_drain.joinable()) c->t_drain.join();
     if (c->t_pf.joinable()) c->t_pf.join();
   }
   // Release the device cache arenas back to the devices.
@@ -793,6 +808,18 @@ void Engine::FinishFlush(RankCtx& ctx_, Record& rec) {
   NotifyState(ctx_);  // WaitForFlushes watches inflight_flushes
 }
 
+void Engine::CancelFlush(RankCtx& ctx_, Record& rec, LineageOutcome outcome,
+                         const char* flow_name, int tier) {
+  CKPT_ASSERT_HELD(ctx_.mu);
+  ++ctx_.metrics.flushes_cancelled;
+  if (!rec.flush_done) {
+    rec.flush_done = true;
+    --ctx_.inflight_flushes;
+  }
+  LineageTerminal(ctx_, rec, outcome, flow_name, tier);
+  NotifyState(ctx_);  // WaitForFlushes watches inflight_flushes
+}
+
 // ---------------------------------------------------------------------------
 // Failure model helpers (DESIGN.md §8)
 // ---------------------------------------------------------------------------
@@ -800,14 +827,15 @@ void Engine::FinishFlush(RankCtx& ctx_, Record& rec) {
 Engine::TerminalPutResult Engine::PutTerminal(RankCtx& ctx_, Version v,
                                               sim::ConstBytePtr src,
                                               std::uint64_t size,
-                                              std::mt19937_64& rng) {
+                                              std::mt19937_64& rng, int first,
+                                              bool land) {
   TerminalPutResult r;
   r.ok.assign(static_cast<std::size_t>(stack_.num_durable_tiers()), 0);
   const storage::ObjectKey key = KeyOf(ctx_.rank, v);
-  // Every durable stage up to the terminal tier is attempted, even when a
-  // shallower one failed: a surviving deeper copy still makes the
-  // checkpoint durable.
-  for (int d = 0; d <= stack_.terminal_ordinal(); ++d) {
+  // A failed stage falls through to the next one: a landing takes the
+  // shallowest tier that accepts the copy, and a full walk still makes the
+  // checkpoint durable from any surviving deeper copy.
+  for (int d = first; d <= stack_.terminal_ordinal(); ++d) {
     storage::ObjectStore& store = *stack_.durable_store(d);
     // Per-tier span ("flush:ssd", "flush:remote", ...) covering the put
     // including its engine-level retries, so slow terminal tiers show up
@@ -821,6 +849,7 @@ Engine::TerminalPutResult Engine::PutTerminal(RankCtx& ctx_, Version v,
     if (!out.ok()) span.Cancel();
     if (out.ok()) {
       r.ok[static_cast<std::size_t>(d)] = 1;
+      if (land) break;
     } else {
       ++r.failures;
       CKPT_LOG(kWarn, "flush")
@@ -833,8 +862,9 @@ Engine::TerminalPutResult Engine::PutTerminal(RankCtx& ctx_, Version v,
   return r;
 }
 
-void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
+void Engine::ApplyDurableAcks(RankCtx& ctx_, Record& rec,
                               const TerminalPutResult& r) {
+  CKPT_ASSERT_HELD(ctx_.mu);
   ctx_.metrics.flush_retries += r.retries;
   ctx_.metrics.flush_failures += r.failures;
   if (r.retries > 0) {
@@ -858,6 +888,31 @@ void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
   // A fresh durable copy makes every cached copy of this record SafeBelow,
   // i.e. potentially evictable: wake blocked reservations.
   if (newly_durable) NotifyReserveAll(ctx_);
+}
+
+int Engine::ApplyLanding(RankCtx& ctx_, Record& rec,
+                         const TerminalPutResult& r) {
+  const auto it = std::find(r.ok.begin(), r.ok.end(), 1);
+  if (it == r.ok.end() ||
+      it - r.ok.begin() == stack_.terminal_ordinal()) {
+    ApplyFlushResult(ctx_, rec, r);  // landed nowhere, or at the terminal
+    return -1;
+  }
+  const auto landed = static_cast<int>(it - r.ok.begin());
+  ApplyDurableAcks(ctx_, rec, r);
+  // Depth bumps before Push, as for the cache stages: the drain's
+  // decrement can never underflow.
+  for (int d = landed + 1; d <= stack_.terminal_ordinal(); ++d) {
+    ProbeAdd(ctx_.tier_probe[static_cast<std::size_t>(stack_.durable_index(d))]
+                 .flush_queue_depth);
+  }
+  ctx_.drain_q.Push(RankCtx::DrainItem{rec.version, landed});
+  return landed;
+}
+
+void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
+                              const TerminalPutResult& r) {
+  ApplyDurableAcks(ctx_, rec, r);
   const bool reached =
       rec.durable[static_cast<std::size_t>(stack_.terminal_ordinal())] != 0;
   if (reached) {
@@ -1146,36 +1201,18 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
       return cleanup_failure(st);
     }
     std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache) + 1, v);
-    const TerminalPutResult r = PutTerminal(c, v, staging.data(), size, rng);
+    const TerminalPutResult r =
+        PutTerminal(c, v, staging.data(), size, rng, 0, /*land=*/true);
     lock.lock();
-    c.metrics.flush_retries += r.retries;
-    c.metrics.flush_failures += r.failures;
-    ProbeAdd(c.probe.flush_retries, r.retries);
-    bool any = false;
-    for (std::size_t d = 0; d < r.ok.size(); ++d) {
-      if (r.ok[d]) {
-        any = true;
-        rec.durable[d] = 1;
-        const auto idx =
-            static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
-        c.metrics.flush_bytes_to_tier[idx] += size;
-        ProbeAdd(c.tier_probe[idx].flush_bytes, size);
-        LineageDurableAck(c, rec, d);
-      }
-    }
-    if (!any) {
+    if (std::find(r.ok.begin(), r.ok.end(), 1) == r.ok.end()) {
       // Nothing durable and nothing cached. The caller still owns the
       // source buffer, so surface the failure instead of losing data.
+      ApplyDurableAcks(c, rec, r);  // charges the retries and failures
       return cleanup_failure(util::IoError(
           "write-through flush of checkpoint " + std::to_string(v) +
           " failed on every durable tier"));
     }
-    if (!rec.durable[static_cast<std::size_t>(stack_.terminal_ordinal())]) {
-      rec.degraded = true;
-      ++c.metrics.tier_degradations;
-      ProbeAdd(c.probe.tier_degradations);
-    }
-    FinishFlush(c, rec);
+    ApplyLanding(c, rec, r);
   }
 
   if (!lock.owns_lock()) lock.lock();
@@ -1850,13 +1887,15 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
   const char* stage_span = trace::Intern("flush:" + tier_name);
   const char* terminal_span = trace::Intern("flush:" + tier_name + ">durable");
 
-  // Writes (rank, v) to the durable stores directly from this tier's copy.
-  // Device-tier sources stage through a transient pinned buffer first
-  // (without GPUDirect the drive cannot read device memory). Returns the
-  // result to apply under the lock.
+  // Lands (rank, v) on the shallowest durable store that accepts it,
+  // directly from this tier's copy. Device-tier sources stage through a
+  // transient pinned buffer first (without GPUDirect the drive cannot read
+  // device memory). Returns the result to apply under the lock.
   const auto put_from_tier = [&](Version v, sim::ConstBytePtr src,
                                  std::uint64_t size) -> TerminalPutResult {
-    if (!stack_.is_device(tier)) return PutTerminal(c, v, src, size, rng);
+    if (!stack_.is_device(tier)) {
+      return PutTerminal(c, v, src, size, rng, 0, /*land=*/true);
+    }
     sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
@@ -1865,7 +1904,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       CKPT_LOG(kError, "flush") << "direct store flush failed: " << st.ToString();
       return TerminalPutResult{};
     }
-    return PutTerminal(c, v, staging.data(), size, rng);
+    return PutTerminal(c, v, staging.data(), size, rng, 0, /*land=*/true);
   };
 
   // Balances the producer-side flush_queue_depth bump: the gauge counts
@@ -1881,6 +1920,22 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     }
   };
 
+  // Applies a landing this stage just made from its copy (lock held; the
+  // read_ref already dropped). A copy landed short of the terminal tier
+  // goes to the durable drain, so this copy is SafeBelow from now on.
+  const auto land = [&](Record& rec, const TerminalPutResult& r,
+                        std::int64_t t0) {
+    NotifyReserve(c, tier);  // our source copy may now be evictable
+    t.backlog_bytes -= rec.size;
+    c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
+        static_cast<double>(util::NowNs() - t0) / 1e9);
+    const int drained = ApplyLanding(c, rec, r);
+    QueueSpanSince(c, trace::Kind::kFlush, terminal_span, t0,
+                   drained >= 0 ? stack_.durable_index(drained)
+                                : stack_.terminal(),
+                   rec.version, rec.size);
+  };
+
   while (auto vo = t.flush_q.Pop()) {
     const Version v = *vo;
     QueueDepthGuard depth_guard{c, tier};
@@ -1893,13 +1948,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
 
     auto cancel = [&](LineageOutcome outcome, const char* flow_name) {
       t.backlog_bytes -= rec.size;
-      ++c.metrics.flushes_cancelled;
-      if (!rec.flush_done) {
-        rec.flush_done = true;
-        --c.inflight_flushes;
-      }
-      LineageTerminal(c, rec, outcome, flow_name, tier);
-      NotifyState(c);  // WaitForFlushes watches inflight_flushes
+      CancelFlush(c, rec, outcome, flow_name, tier);
     };
 
     // Condition (5): consumed + discardable checkpoints skip pending flushes.
@@ -1960,16 +2009,11 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       const std::int64_t t0 = util::NowNs();
       sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
                               sim::Topology::LinkDir::kD2H);
-      const TerminalPutResult r = PutTerminal(c, v, src, size, rng);
+      const TerminalPutResult r =
+          PutTerminal(c, v, src, size, rng, 0, /*land=*/true);
       lock.lock();
       --mine.read_refs;
-      NotifyReserve(c, tier);  // our source copy may now be evictable
-      t.backlog_bytes -= size;
-      QueueSpanSince(c, trace::Kind::kFlush, terminal_span, t0,
-                     stack_.terminal(), v, size);
-      c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
-          static_cast<double>(util::NowNs() - t0) / 1e9);
-      ApplyFlushResult(c, rec, r);
+      land(rec, r, t0);
       continue;
     }
 
@@ -2011,13 +2055,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       const TerminalPutResult r = put_from_tier(v, src, size);
       lock.lock();
       --mine.read_refs;
-      NotifyReserve(c, tier);  // our source copy may now be evictable
-      t.backlog_bytes -= size;
-      QueueSpanSince(c, trace::Kind::kFlush, terminal_span, t0,
-                     stack_.terminal(), v, size);
-      c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
-          static_cast<double>(util::NowNs() - t0) / 1e9);
-      ApplyFlushResult(c, rec, r);
+      land(rec, r, t0);
       continue;
     }
 
@@ -2074,6 +2112,87 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     lock.unlock();
     ProbeAdd(c.tier_probe[static_cast<std::size_t>(target)].flush_queue_depth);
     c.tiers[static_cast<std::size_t>(target)]->flush_q.Push(v);
+  }
+}
+
+// The durable drain (DESIGN.md §5): the local -> remote half of the flush
+// pipeline. A cache stage acks the landing on the shallowest durable tier
+// and moves on; this worker reads the landed copy back from that store and
+// writes it to every deeper durable tier up to the terminal one. The cache
+// copies stay evictable meanwhile, so a slow terminal tier paces only this
+// worker and WaitForFlushes(), never Checkpoint().
+void Engine::DurableDrainLoop(RankCtx& c) {
+  // The prefetcher's stream under its own salt: every other worker keeps
+  // its historical retry schedule.
+  std::mt19937_64 rng = RngFor(
+      c, static_cast<std::uint64_t>(stack_.num_cache_tiers()), kDrainRngSalt);
+  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
+                       "/flush:" +
+                       std::string(stack_.name(static_cast<std::size_t>(
+                           stack_.durable_index(0)))));
+  // Plain host memory, reused across checkpoints: the copy moves store to
+  // store, no device DMA touches it, so no pinned staging is needed.
+  std::vector<std::byte> buf;
+
+  // The QueueDepthGuard of the cache stages, over the deeper tiers the
+  // item was queued for by ApplyLanding.
+  struct DrainDepthGuard {
+    RankCtx& c;
+    const TierStack& stack;
+    int src;
+    ~DrainDepthGuard() {
+      for (int d = src + 1; d <= stack.terminal_ordinal(); ++d) {
+        ProbeSub(c.tier_probe[static_cast<std::size_t>(stack.durable_index(d))]
+                     .flush_queue_depth);
+      }
+    }
+  };
+
+  while (auto item = c.drain_q.Pop()) {
+    const Version v = item->version;
+    const int src = item->src;
+    DrainDepthGuard depth_guard{c, stack_, src};
+    ScopedTracePublisher trace_pub(c);  // queued events flush per iteration
+    std::unique_lock lock(c.mu);
+    auto it = c.records.find(v);
+    if (it == c.records.end()) continue;  // defensive
+    Record& rec = it->second;
+    // Condition (5): consumed + discardable checkpoints skip pending flushes.
+    if (options_.discard_after_restore && rec.state == CkptState::kConsumed) {
+      CancelFlush(c, rec, LineageOutcome::kErased, "flow:erased:discarded",
+                  stack_.durable_index(src));
+      continue;
+    }
+    const std::uint64_t size = rec.size;
+    lock.unlock();
+
+    if (buf.size() < size) buf.resize(size);
+    const storage::ObjectKey key = KeyOf(c.rank, v);
+    storage::ObjectStore& from = *stack_.durable_store(src);
+    const util::RetryOutcome got = util::RetryWithBackoff(
+        options_.fetch_retry, rng, [&] { return from.Get(key, buf.data(), size); });
+    TerminalPutResult r;
+    if (got.ok()) {
+      r = PutTerminal(c, v, buf.data(), size, rng, src + 1, /*land=*/false);
+    } else {
+      // The landed copy is unreadable: the checkpoint stays durable there,
+      // degraded, as for a failed put to the deeper tiers.
+      CKPT_LOG(kWarn, "flush")
+          << "rank " << c.rank << " ckpt " << v << ": "
+          << stack_.name(static_cast<std::size_t>(stack_.durable_index(src)))
+          << " read for the durable drain failed after " << got.attempts
+          << " attempt(s): " << got.status.ToString();
+    }
+
+    lock.lock();
+    c.metrics.fetch_retries += got.retries();
+    ProbeAdd(c.probe.fetch_retries, got.retries());
+    if (got.retries() > 0) {
+      QueueInstant(c, trace::Kind::kRetry, "fetch:retries",
+                   stack_.durable_index(src), v, size,
+                   static_cast<double>(got.retries()));
+    }
+    ApplyFlushResult(c, rec, r);
   }
 }
 

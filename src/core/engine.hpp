@@ -9,9 +9,14 @@
 //     the rest (allocation cost paid once at init, §4.1.4);
 //   * one dedicated flush worker per cache tier (§4.3.1 generalized): the
 //     worker of tier i drains copies from tier i to tier i+1, the last
-//     cache tier's worker writes the durable stores — the default stack's
-//     T_D2H and T_H2F are the i=0 and i=1 instances — plus T_PF
-//     (multi-tier prefetch promotions driven by the restore-order queue);
+//     cache tier's worker lands them on the shallowest durable store that
+//     accepts them — the default stack's T_D2H and T_H2F are the i=0 and
+//     i=1 instances — plus T_PF (multi-tier prefetch promotions driven by
+//     the restore-order queue);
+//   * with more than one durable tier up to the terminal one, a durable
+//     drain worker that copies each landed checkpoint from its durable
+//     store to the deeper ones, so a slow terminal tier never holds a
+//     cache copy;
 //   * a restore-order hint queue and per-checkpoint life-cycle records.
 //
 // Blocking semantics follow §2 exactly: Checkpoint() blocks only until the
@@ -598,13 +603,24 @@ class Engine final : public Runtime {
     std::vector<util::trace::Event> pending_trace;
 
     std::jthread t_pf;
+
+    /// Checkpoints landed on durable ordinal `src` short of the terminal
+    /// tier, awaiting their copy to the deeper durable tiers.
+    struct DrainItem {
+      Version version = 0;
+      int src = 0;
+    };
+    util::MpmcQueue<DrainItem> drain_q;
+    std::jthread t_drain;  ///< DurableDrainLoop; absent when unneeded
   };
 
   void Init(int num_ranks);
 
-  // Background workers (num_cache_tiers flush stages + T_PF, per rank).
+  // Background workers (num_cache_tiers flush stages + T_PF, per rank, plus
+  // the durable drain when the terminal tier is not the first durable one).
   void FlushStageLoop(RankCtx& ctx, TierIndex tier);
   void PrefetchLoop(RankCtx& ctx);
+  void DurableDrainLoop(RankCtx& ctx);
 
   // Helpers; all require ctx.mu held unless noted. `tier` is a stack index
   // of a cache tier.
@@ -790,6 +806,11 @@ class Engine final : public Runtime {
   static bool DrainHints(RankCtx& ctx);
   /// Marks a flush stage reaching the terminal tier; advances the FSM.
   void FinishFlush(RankCtx& ctx, Record& rec);
+  /// Drops `rec`'s pending flush without reaching the terminal tier
+  /// (condition (5), shutdown or a failed hop) and records its lineage
+  /// terminal. ctx.mu held.
+  void CancelFlush(RankCtx& ctx, Record& rec, LineageOutcome outcome,
+                   const char* flow_name, int tier);
 
   // --- Failure model helpers (DESIGN.md §8) ---
   /// Result of writing one checkpoint to the durable store(s) with retries.
@@ -800,18 +821,30 @@ class Engine final : public Runtime {
     std::uint64_t retries = 0;    ///< extra attempts across all tiers
     std::uint64_t failures = 0;   ///< tiers that permanently failed
   };
-  /// Writes (rank, v) to every durable tier up to and including the
-  /// terminal one, retrying transient errors per flush_retry. Deeper
-  /// stages are attempted even when a shallower one failed: a surviving
-  /// deeper copy still makes the checkpoint durable. Called WITHOUT ctx.mu
-  /// held.
+  /// Writes (rank, v) to the durable tiers from ordinal `first` up to and
+  /// including the terminal one, retrying transient errors per
+  /// flush_retry. With `land` the walk stops at the first tier that
+  /// accepts the put (a cache stage landing its copy); otherwise deeper
+  /// stages are attempted even when a shallower one failed, since a
+  /// surviving deeper copy still makes the checkpoint durable. Called
+  /// WITHOUT ctx.mu held.
   TerminalPutResult PutTerminal(RankCtx& ctx, Version v, sim::ConstBytePtr src,
-                                std::uint64_t size, std::mt19937_64& rng);
+                                std::uint64_t size, std::mt19937_64& rng,
+                                int first, bool land);
+  /// Charges a TerminalPutResult's retries/failures and marks the tiers it
+  /// reached durable (ctx.mu held).
+  void ApplyDurableAcks(RankCtx& ctx, Record& rec, const TerminalPutResult& r);
   /// Applies a TerminalPutResult to the record (ctx.mu held): marks durable
   /// tiers and finishes the flush; on a permanent terminal-tier failure
   /// either degrades durability to the deepest surviving copy or — in
   /// strict mode / with no copy left — marks the record FLUSH_FAILED.
   void ApplyFlushResult(RankCtx& ctx, Record& rec, const TerminalPutResult& r);
+  /// Applies a cache stage's landing (PutTerminal with `land`; ctx.mu
+  /// held). A copy that landed short of the terminal tier is acked at once
+  /// and queued on the durable drain (whose queue lock is a leaf); its
+  /// durable ordinal is returned. Otherwise the flush is finished (or
+  /// failed) as by ApplyFlushResult and -1 is returned.
+  int ApplyLanding(RankCtx& ctx, Record& rec, const TerminalPutResult& r);
   /// Transitions the record to FLUSH_FAILED, reclaiming its cache space and
   /// unblocking WaitForFlushes / pending restores (ctx.mu held).
   void MarkFlushFailed(RankCtx& ctx, Record& rec);
@@ -868,7 +901,9 @@ class Engine final : public Runtime {
   /// every name and label byte-identical to the pre-tenant engine.
   bool label_tenants_ = false;
   /// Estimated drain bandwidth of each cache tier toward the next tier
-  /// (bytes/s), for predict_evictable ETAs (§4.2).
+  /// (bytes/s), for predict_evictable ETAs (§4.2). The last cache tier's
+  /// copy is released once it lands on the first durable tier, so its rate
+  /// is that tier's (NVMe), however slow the deeper durable tiers are.
   std::vector<double> drain_bw_;
   std::vector<std::unique_ptr<RankCtx>> ranks_;
   std::atomic<bool> shutdown_{false};

@@ -15,6 +15,7 @@
 #include "harness/experiment.hpp"
 #include "storage/faulty_store.hpp"
 #include "storage/mem_store.hpp"
+#include "support/gated_store.hpp"
 
 namespace ckpt::core {
 namespace {
@@ -37,6 +38,23 @@ class EngineFaultTest : public ::testing::Test {
     ssd_ = std::make_shared<FaultyStore>(mem_, fopts);
     pfs_ = std::make_shared<storage::MemStore>();
     engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, ranks);
+  }
+
+  /// Build() with terminal_tier = kPfs behind a gated PFS store: the
+  /// durable drain parks on the gate until the test opens it.
+  void BuildGatedPfs(EngineOptions opts) {
+    engine_.reset();
+    cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
+    mem_ = std::make_shared<storage::MemStore>();
+    ssd_ = std::make_shared<FaultyStore>(mem_, FaultyStore::Options{});
+    pfs_ = std::make_shared<storage::MemStore>();
+    gated_pfs_ = std::make_shared<test_support::GatedStore>(pfs_);
+    opts.terminal_tier = Tier::kPfs;
+    engine_ = std::make_unique<Engine>(*cluster_, ssd_, gated_pfs_, opts, 1);
+  }
+
+  void TearDown() override {
+    if (gated_pfs_) gated_pfs_->Open();  // let a parked drain finish
   }
 
   /// Default small caches: GPU cache fits 4 checkpoints, host fits 16.
@@ -89,6 +107,7 @@ class EngineFaultTest : public ::testing::Test {
   std::shared_ptr<storage::MemStore> mem_;
   std::shared_ptr<FaultyStore> ssd_;
   std::shared_ptr<storage::MemStore> pfs_;
+  std::shared_ptr<test_support::GatedStore> gated_pfs_;
   std::unique_ptr<Engine> engine_;
 };
 
@@ -251,6 +270,138 @@ TEST_F(EngineFaultTest, ShotCompletesUnderTransientFaultRate) {
   auto result = harness::RunExperiment(cfg);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->shot.verify_failures, 0u);
+}
+
+// --- Durable drain (SSD landing, then SSD -> PFS in the background) ---
+
+TEST_F(EngineFaultTest, DeadSsdStillReachesPfsFromTheCacheCopy) {
+  auto opts = SmallCaches();
+  opts.terminal_tier = Tier::kPfs;
+  Build(opts);
+  ssd_->SetDown(true);
+  for (Version v = 0; v < 8; ++v) WriteCkpt(0, v);
+  // The landing falls through the dead SSD to the PFS, which is the
+  // terminal tier: the flush completes there, nothing is degraded.
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  for (Version v = 0; v < 8; ++v) {
+    EXPECT_TRUE(pfs_->Exists({0, v})) << "version " << v;
+    EXPECT_FALSE(engine_->ResidentOn(0, v, Tier::kSsd)) << "version " << v;
+    auto tier = engine_->DurableTierOf(0, v);
+    ASSERT_TRUE(tier.ok()) << tier.status();
+    EXPECT_EQ(*tier, Tier::kPfs);
+  }
+  const RankMetrics m = engine_->metrics(0);
+  EXPECT_EQ(m.tier_degradations, 0u);
+  EXPECT_EQ(m.flush_failures, 8u);  // one dead-SSD put per checkpoint
+  EXPECT_EQ(m.checkpoints_lost, 0u);
+  for (Version v = 0; v < 8; ++v) RestoreAndVerify(0, v);
+}
+
+TEST_F(EngineFaultTest, TransientSsdReadFaultsInTheDrainAreRetried) {
+  auto opts = SmallCaches();
+  opts.terminal_tier = Tier::kPfs;
+  Build(opts);
+  // Nothing but the drain reads the SSD here: no prefetch, no restore.
+  ssd_->FailNext(FaultOp::kGet, FaultKind::kTransient, 2);
+  WriteCkpt(0, 0);
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  EXPECT_TRUE(pfs_->Exists({0, 0}));
+  const RankMetrics m = engine_->metrics(0);
+  EXPECT_EQ(m.fetch_retries, 2u);
+  EXPECT_EQ(m.flush_failures, 0u);
+  EXPECT_EQ(m.tier_degradations, 0u);
+  auto tier = engine_->DurableTierOf(0, 0);
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  EXPECT_EQ(*tier, Tier::kPfs);
+  RestoreAndVerify(0, 0);
+}
+
+TEST_F(EngineFaultTest, UnreadableSsdCopyDegradesToSsdAfterCacheEviction) {
+  auto opts = SmallCaches();
+  opts.eviction = EvictionKind::kFifo;  // oldest copies leave first
+  opts.lineage = true;
+  BuildGatedPfs(opts);
+  // v0's drain parks on the PFS gate; v1..v20 land on the SSD behind it
+  // and churn both caches, which drop v1 (safe: it is on the SSD).
+  for (Version v = 0; v <= 20; ++v) WriteCkpt(0, v);
+  ASSERT_TRUE(WaitFor([&] {
+    return !engine_->ResidentOn(0, 1, Tier::kGpu) &&
+           !engine_->ResidentOn(0, 1, Tier::kHost);
+  })) << "v1 kept a cache copy";
+  ASSERT_TRUE(mem_->Exists({0, 1}));
+  ASSERT_TRUE(WaitFor([&] { return gated_pfs_->parked() == 1; }));
+  // The drain's next SSD read (v1's; v0's already happened) fails on every
+  // attempt of its fetch_retry budget: a permanent read failure.
+  ssd_->FailNext(FaultOp::kGet, FaultKind::kTransient,
+                 opts.fetch_retry.max_attempts);
+  gated_pfs_->Open();
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+
+  auto tier = engine_->DurableTierOf(0, 1);
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  EXPECT_EQ(*tier, Tier::kSsd);
+  for (Version v = 0; v <= 20; ++v) {
+    EXPECT_EQ(pfs_->Exists({0, v}), v != 1) << "version " << v;
+  }
+  const RankMetrics m = engine_->metrics(0);
+  EXPECT_EQ(m.tier_degradations, 1u);
+  EXPECT_EQ(m.checkpoints_lost, 0u);
+  const Engine::LineageSnapshot lin = engine_->Lineage(0);
+  EXPECT_EQ(lin.degraded, 1u);
+  EXPECT_EQ(lin.durable, 20u);
+  EXPECT_EQ(lin.lost, 0u);
+  RestoreAndVerify(0, 1);  // served by the SSD copy
+}
+
+TEST_F(EngineFaultTest, DrainSkipsConsumedDiscardableCheckpoints) {
+  auto opts = SmallCaches();
+  opts.discard_after_restore = true;
+  opts.lineage = true;
+  BuildGatedPfs(opts);
+  for (Version v = 0; v < 3; ++v) WriteCkpt(0, v);
+  // All three landed; v0's drain holds the gate, v1 and v2 queue behind it.
+  ASSERT_TRUE(WaitFor([&] {
+    return mem_->Exists({0, 0}) && mem_->Exists({0, 1}) &&
+           mem_->Exists({0, 2});
+  }));
+  ASSERT_TRUE(WaitFor([&] { return gated_pfs_->parked() == 1; }));
+  RestoreAndVerify(0, 1);  // condition (5): v1's pending flush may go
+  gated_pfs_->Open();
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  EXPECT_TRUE(pfs_->Exists({0, 0}));
+  EXPECT_FALSE(pfs_->Exists({0, 1}));
+  EXPECT_TRUE(pfs_->Exists({0, 2}));
+  const RankMetrics m = engine_->metrics(0);
+  EXPECT_EQ(m.flushes_cancelled, 1u);
+  const Engine::LineageSnapshot lin = engine_->Lineage(0);
+  EXPECT_EQ(lin.admitted, 3u);
+  EXPECT_EQ(lin.durable, 2u);
+  EXPECT_EQ(lin.erased, 1u);
+}
+
+TEST_F(EngineFaultTest, ShutdownDrainsTheQueuedDeeperPuts) {
+  auto opts = SmallCaches();
+  opts.lineage = true;
+  BuildGatedPfs(opts);
+  for (Version v = 0; v < 4; ++v) WriteCkpt(0, v);
+  ASSERT_TRUE(WaitFor([&] {
+    return engine_->metrics(0).flush_bytes_to_tier[2] == 4 * kCkptSize;
+  }));
+  // Shutdown with the drain queue non-empty: like the cache stages, the
+  // drain disposes of every queued item before its thread exits.
+  std::thread opener([this] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gated_pfs_->Open();
+  });
+  engine_->Shutdown();
+  opener.join();
+  for (Version v = 0; v < 4; ++v) {
+    EXPECT_TRUE(pfs_->Exists({0, v})) << "version " << v;
+  }
+  const Engine::LineageSnapshot lin = engine_->Lineage(0);
+  EXPECT_EQ(lin.admitted, 4u);
+  EXPECT_EQ(lin.durable, 4u);
+  EXPECT_EQ(lin.inflight(), 0u);
 }
 
 }  // namespace

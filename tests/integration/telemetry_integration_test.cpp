@@ -8,22 +8,23 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/telemetry_sampler.hpp"
 #include "core/telemetry_sink.hpp"
+#include "core/tier_stack.hpp"
 #include "harness/experiment.hpp"
 #include "rtm/workload.hpp"
 #include "storage/mem_store.hpp"
+#include "support/gated_store.hpp"
 #include "util/json.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
@@ -38,56 +39,7 @@ namespace {
 #define SKIP_IF_TELEMETRY_COMPILED_OUT() (void)0
 #endif
 
-/// Terminal store whose Put blocks until the gate opens: freezes the flush
-/// pipeline (queue depth > 0, landed bytes frozen) without failing any
-/// operation, which is exactly the hang signature the watchdog hunts.
-class GatedStore : public storage::ObjectStore {
- public:
-  explicit GatedStore(std::shared_ptr<storage::ObjectStore> inner)
-      : inner_(std::move(inner)) {}
-
-  ~GatedStore() override { Open(); }
-
-  void Open() {
-    {
-      std::lock_guard lk(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  util::Status Put(const storage::ObjectKey& key, sim::ConstBytePtr data,
-                   std::uint64_t size) override {
-    std::unique_lock lk(mu_);
-    cv_.wait(lk, [this] { return open_; });
-    lk.unlock();
-    return inner_->Put(key, data, size);
-  }
-  util::Status Get(const storage::ObjectKey& key, sim::BytePtr dst,
-                   std::uint64_t size) override {
-    return inner_->Get(key, dst, size);
-  }
-  util::StatusOr<std::uint64_t> Size(
-      const storage::ObjectKey& key) const override {
-    return inner_->Size(key);
-  }
-  bool Exists(const storage::ObjectKey& key) const override {
-    return inner_->Exists(key);
-  }
-  util::Status Erase(const storage::ObjectKey& key) override {
-    return inner_->Erase(key);
-  }
-  std::vector<storage::ObjectKey> Keys() const override {
-    return inner_->Keys();
-  }
-  std::uint64_t TotalBytes() const override { return inner_->TotalBytes(); }
-
- private:
-  std::shared_ptr<storage::ObjectStore> inner_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
+using test_support::GatedStore;
 
 bool ReadFile(const std::string& path, std::string& out) {
   std::ifstream f(path, std::ios::binary);
@@ -332,6 +284,86 @@ TEST_F(TelemetryIntegrationTest, HealthyHarnessRunWritesEndOfRunExposition) {
   EXPECT_TRUE(core::ValidateOpenMetrics(text).ok);
   ASSERT_TRUE(ReadFile(prefix + ".window.json", text));
   EXPECT_TRUE(util::json::Parse(text).ok());
+}
+
+// A stalled terminal tier behind the SSD: the cache stage lands every copy
+// on the SSD and moves on, so the hang sits in the durable drain. Its
+// queue depth is charged to the tiers it still has to write, which is
+// where the watchdog must point.
+TEST_F(TelemetryIntegrationTest, StalledDrainTripsWatchdogOnTheTerminalTier) {
+  SKIP_IF_TELEMETRY_COMPILED_OUT();
+  constexpr std::uint64_t kCkptSize = 32 << 10;
+  constexpr int kTermIndex = 2;
+  util::trace::Enable(/*capacity=*/4096);
+  sim::Cluster cluster(sim::TopologyConfig::Testing());
+  auto gated = std::make_shared<GatedStore>(std::make_shared<storage::MemStore>());
+  auto stack = core::ParseTierStack(
+      "host:cache:1Mi,ssd:durable,term:durable", "term",
+      [&gated](const std::string&, const std::string&, int ordinal)
+          -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+        if (ordinal == 0) {
+          return std::shared_ptr<storage::ObjectStore>(
+              std::make_shared<storage::MemStore>());
+        }
+        return std::shared_ptr<storage::ObjectStore>(gated);
+      });
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  core::Engine engine(cluster, std::move(*stack), core::EngineOptions{},
+                      /*num_ranks=*/1);
+
+  core::TelemetrySampler::Options sopts;
+  sopts.start_thread = false;
+  sopts.stall_ms = 20;
+  sopts.stall_windows = 2;
+  core::TelemetrySampler sampler(engine, sopts);
+
+  auto buf = cluster.device(0).Allocate(kCkptSize);
+  ASSERT_TRUE(buf.ok());
+  for (core::Version v = 0; v < 4; ++v) {
+    rtm::FillPattern(0, v, *buf, kCkptSize);
+    ASSERT_TRUE(engine.Checkpoint(0, v, *buf, kCkptSize).ok());
+  }
+  ASSERT_TRUE(cluster.device(0).Free(*buf).ok());
+  // Event-driven, capped at ~5 s: only a broken watchdog reaches the cap.
+  for (int i = 0; i < 500 && engine.MetricsSnapshot(0).watchdog_flush_stalls == 0;
+       ++i) {
+    sampler.SampleNow();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const core::Engine::RankProbe probe = engine.Probe(0);
+  const std::string scrape = core::OpenMetricsText(engine);
+  gated->Open();
+  ASSERT_TRUE(engine.WaitForFlushes(0).ok());
+  engine.Shutdown();
+
+  EXPECT_GE(engine.MetricsSnapshot(0).watchdog_flush_stalls, 1u);
+  // All four copies landed on the SSD; the drain holds the only work.
+  EXPECT_EQ(probe.tiers[0].flush_queue_depth, 0u);
+  EXPECT_EQ(probe.tiers[1].flush_queue_depth, 0u);
+  EXPECT_EQ(probe.tiers[kTermIndex].flush_queue_depth, 4u);
+  EXPECT_EQ(probe.tiers[1].flush_bytes, 4 * kCkptSize);
+  // The exposition keeps ckpt_flush_queue_depth to cache tiers.
+  const core::TelemetryCheck check = core::ValidateOpenMetrics(scrape);
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_NE(scrape.find("ckpt_flush_queue_depth{tier=\"host\""),
+            std::string::npos);
+  EXPECT_EQ(scrape.find("ckpt_flush_queue_depth{tier=\"term\""),
+            std::string::npos);
+#ifndef CKPT_TRACE_DISABLED
+  // The no-progress trip names the terminal tier's stack index.
+  bool tripped_on_term = false;
+  for (const auto& t : util::trace::Collect().threads) {
+    for (const auto& e : t.events) {
+      if (std::string_view(e.name) == "health:stall" &&
+          e.a == static_cast<double>(
+                     core::Engine::StallKind::kFlushNoProgress)) {
+        EXPECT_EQ(e.tier, kTermIndex);
+        tripped_on_term = tripped_on_term || e.tier == kTermIndex;
+      }
+    }
+  }
+  EXPECT_TRUE(tripped_on_term);
+#endif
 }
 
 }  // namespace

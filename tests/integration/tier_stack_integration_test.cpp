@@ -3,16 +3,25 @@
 // RTM shots with verified data through the same harness the benches use,
 // and a permanent failure of the deepest durable tier must degrade
 // durability to the next surviving durable tier instead of losing data.
+// A stalled terminal tier behind a faster durable one must not throttle
+// Checkpoint(): the durable drain writes it from the landed copy.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <string_view>
+#include <thread>
 
 #include "core/engine.hpp"
 #include "core/tier_stack.hpp"
+#include "core/trace_sink.hpp"
 #include "harness/experiment.hpp"
 #include "rtm/workload.hpp"
 #include "storage/faulty_store.hpp"
 #include "storage/mem_store.hpp"
+#include "support/gated_store.hpp"
+#include "util/trace.hpp"
 
 namespace ckpt::harness {
 namespace {
@@ -290,6 +299,171 @@ TEST_F(TierStackEngineTest, PerTierMetricsTrackTheConfiguredStack) {
   std::uint64_t served = 0;
   for (std::uint64_t n : after.restores_from_tier) served += n;
   EXPECT_EQ(served, 1u);
+}
+
+// 1-rank gpu(4 slots) > host(16 slots) > ssd > term stack whose terminal
+// store is gated shut: the SSD counts its reads, the gate holds every
+// terminal put until the test opens it.
+class DurableDrainTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kCkptSize = 64 << 10;
+  static constexpr core::Version kCkpts = 48;
+
+  void Build(bool lineage) {
+    cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
+    ssd_ = std::make_shared<test_support::GatedStore>(
+        std::make_shared<storage::MemStore>(), /*open=*/true);
+    term_ = std::make_shared<test_support::GatedStore>(
+        std::make_shared<storage::MemStore>());
+    auto stack = core::ParseTierStack(
+        "gpu:gpucache:256Ki,host:cache:1Mi,ssd:durable,term:durable", "term",
+        [this](const std::string&, const std::string&, int ordinal)
+            -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+          if (ordinal == 0) return std::shared_ptr<storage::ObjectStore>(ssd_);
+          return std::shared_ptr<storage::ObjectStore>(term_);
+        });
+    ASSERT_TRUE(stack.ok()) << stack.status();
+    core::EngineOptions opts;
+    opts.lineage = lineage;
+    engine_ = std::make_unique<core::Engine>(*cluster_, std::move(*stack),
+                                             opts, /*num_ranks=*/1);
+  }
+
+  void TearDown() override {
+    if (term_) term_->Open();  // never leave a worker parked on the gate
+    if (writer_.valid()) writer_.wait();
+    engine_.reset();
+    util::trace::Disable();
+    util::trace::ResetBuffers();
+  }
+
+  /// Runs the kCkpts checkpoints on another thread; true when they all
+  /// returned within `bound` (the gate is still shut at that point).
+  bool CheckpointAllWithin(std::chrono::seconds bound) {
+    writer_ = std::async(std::launch::async, [this] {
+      auto buf = cluster_->device(0).Allocate(kCkptSize);
+      if (!buf.ok()) return false;
+      for (core::Version v = 0; v < kCkpts; ++v) {
+        rtm::FillPattern(0, v, *buf, kCkptSize);
+        if (!engine_->Checkpoint(0, v, *buf, kCkptSize).ok()) return false;
+      }
+      return cluster_->device(0).Free(*buf).ok();
+    });
+    return writer_.wait_for(bound) == std::future_status::ready;
+  }
+
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::shared_ptr<test_support::GatedStore> ssd_;
+  std::shared_ptr<test_support::GatedStore> term_;
+  std::unique_ptr<core::Engine> engine_;
+  std::future<bool> writer_;
+};
+
+TEST_F(DurableDrainTest, StalledTerminalTierDoesNotThrottleCheckpoint) {
+  Build(/*lineage=*/false);
+  // 48 checkpoints are three times what both caches hold. Each copy is
+  // evictable once it has landed on the SSD, so admission never waits for
+  // the shut terminal tier.
+  const bool in_time = CheckpointAllWithin(std::chrono::seconds(5));
+  term_->Open();
+  ASSERT_TRUE(writer_.get());
+  EXPECT_TRUE(in_time) << "Checkpoint() blocked behind the gated terminal";
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+
+  // The durable drain read each landed copy back exactly once; nothing
+  // else has read the SSD yet (no prefetch, no restore so far).
+  EXPECT_EQ(ssd_->gets(), kCkpts);
+  EXPECT_EQ(ssd_->puts(), kCkpts);
+  EXPECT_EQ(term_->puts(), kCkpts);
+  const core::RankMetrics m = engine_->MetricsSnapshot(0);
+  EXPECT_EQ(m.tier_degradations, 0u);
+  EXPECT_EQ(m.flush_failures, 0u);
+
+  auto buf = cluster_->device(0).Allocate(kCkptSize);
+  ASSERT_TRUE(buf.ok());
+  for (core::Version v = 0; v < kCkpts; ++v) {
+    EXPECT_TRUE(term_->Exists({0, v})) << "version " << v;
+    auto tier = engine_->DurableTierIndexOf(0, v);
+    ASSERT_TRUE(tier.ok()) << tier.status();
+    EXPECT_EQ(*tier, 3) << "version " << v;  // term's stack index
+    ASSERT_TRUE(engine_->Restore(0, v, *buf, kCkptSize).ok());
+    EXPECT_TRUE(rtm::CheckPattern(0, v, *buf, kCkptSize)) << "version " << v;
+  }
+  ASSERT_TRUE(cluster_->device(0).Free(*buf).ok());
+}
+
+TEST_F(DurableDrainTest, DurabilityLagIsChargedWhenTheCopyLands) {
+  Build(/*lineage=*/true);
+  constexpr std::size_t kSsdIndex = 2;
+  constexpr std::size_t kTermIndex = 3;
+  ASSERT_TRUE(CheckpointAllWithin(std::chrono::seconds(5)));
+  ASSERT_TRUE(writer_.get());
+  // Every checkpoint acks its SSD landing while the terminal gate is still
+  // shut: the per-tier lag measures landing at that tier.
+  std::uint64_t ssd_acks = 0;
+  for (int i = 0; i < 500 && ssd_acks < kCkpts; ++i) {
+    ssd_acks = engine_->MetricsSnapshot(0).durable_lag_hist[kSsdIndex].total();
+    if (ssd_acks < kCkpts) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(ssd_acks, kCkpts);
+  EXPECT_EQ(engine_->MetricsSnapshot(0).durable_lag_hist[kTermIndex].total(),
+            0u);
+  EXPECT_EQ(term_->puts(), 0u);
+
+  term_->Open();
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  const core::RankMetrics m = engine_->MetricsSnapshot(0);
+  EXPECT_EQ(m.durable_lag_hist[kTermIndex].total(), kCkpts);
+  EXPECT_EQ(m.objects_admitted, kCkpts);
+  EXPECT_EQ(m.objects_durable, kCkpts);
+}
+
+// The durable drain has its own track: the cache stage's terminal span
+// covers only the SSD landing, the terminal puts run on r<rank>/flush:ssd,
+// and every object's flow still ends exactly once.
+TEST_F(DurableDrainTest, DrainRunsOnItsOwnTraceTrack) {
+#ifdef CKPT_TRACE_DISABLED
+  GTEST_SKIP() << "built with CKPT_TRACE_DISABLED";
+#endif
+  util::trace::ResetBuffers();
+  util::trace::Enable();
+  Build(/*lineage=*/true);
+  term_->Open();
+  ASSERT_TRUE(CheckpointAllWithin(std::chrono::seconds(5)));
+  ASSERT_TRUE(writer_.get());
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  engine_->Shutdown();  // joins the workers: every queued event is published
+
+  std::uint64_t landings = 0, ssd_puts = 0, term_puts_on_drain = 0,
+                term_puts_elsewhere = 0;
+  for (const auto& t : util::trace::Collect().threads) {
+    for (const auto& e : t.events) {
+      if (e.dur_ns < 0 || e.flow != util::trace::FlowPhase::kNone) continue;
+      const std::string_view name(e.name);
+      if (name.ends_with(">durable")) {  // a cache stage's terminal span
+        EXPECT_EQ(e.tier, 2) << t.thread_name << " " << name;  // ssd
+        ++landings;
+      } else if (name == "flush:ssd") {
+        ++ssd_puts;
+      } else if (name == "flush:term") {
+        ++(t.thread_name == "r0/flush:ssd" ? term_puts_on_drain
+                                            : term_puts_elsewhere);
+      }
+    }
+  }
+  EXPECT_EQ(landings, kCkpts);
+  EXPECT_EQ(ssd_puts, kCkpts);
+  EXPECT_EQ(term_puts_on_drain, kCkpts);
+  EXPECT_EQ(term_puts_elsewhere, 0u);
+
+  const core::TraceCheck check = core::ValidateChromeTrace(core::ChromeTraceJson());
+  ASSERT_TRUE(check.ok) << check.error;
+  EXPECT_EQ(check.flows, kCkpts);
+  EXPECT_EQ(check.flow_finishes, kCkpts);
+  EXPECT_EQ(check.flows_dangling, 0u);
+  EXPECT_GE(check.flows_in("flush"), 1u);
 }
 
 }  // namespace
