@@ -189,6 +189,8 @@ void Engine::Init(int num_ranks) {
     c->metrics.evicted_bytes_from_tier.resize(stack_.size(), 0);
     c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
     c->tier_probe = std::make_unique<TierProbeCells[]>(stack_.size());
+    c->staging = std::make_unique<sim::PinnedStagingPool>(
+        cluster_.topology(), cluster_.topology().node_of_rank(r));
     if (lineage_) {
       c->metrics.durable_lag_hist.resize(stack_.size());
       c->lineage_journal = std::make_unique<LineageCell[]>(kLineageJournalCap);
@@ -1189,10 +1191,9 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     c.tiers[static_cast<std::size_t>(placed)]->flush_q.Push(v);
   } else {
     // Oversize for every cache tier: synchronous write-through to the
-    // durable store(s) from a transient pinned staging buffer.
+    // durable store(s) through a pooled pinned staging buffer.
     lock.unlock();
-    sim::PinnedArena staging(cluster_.topology(),
-                             cluster_.topology().node_of_rank(rank), size);
+    sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
                                                  sim::MemcpyKind::kD2H, flow);
@@ -1331,11 +1332,11 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
                                 sim::Topology::LinkDir::kH2D);
       }
     } else {
-      // Direct read path: stream store -> transient pinned staging ->
-      // device. The unplanned pinned allocation is a genuine penalty of
-      // deviating from the hints / running without foreknowledge.
-      sim::PinnedArena staging(cluster_.topology(),
-                               cluster_.topology().node_of_rank(rank), size);
+      // Direct read path: stream store -> pooled pinned staging -> device.
+      // The buffer was pinned by an earlier staged transfer (only a first
+      // use or a larger checkpoint registers), so running without
+      // foreknowledge costs the unhidden store read, not a registration.
+      sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
       st = GetDurable(c, v, staging.data(), size, durable, rng,
                       /*abort=*/{}, fetch_retries, fell_back, served);
       if (st.ok()) {
@@ -1843,6 +1844,10 @@ const sim::PinnedArena* Engine::PinnedArenaOf(sim::Rank rank,
   return t.ready.load(std::memory_order_acquire) ? t.arena.get() : nullptr;
 }
 
+const sim::PinnedStagingPool& Engine::StagingPoolOf(sim::Rank rank) const {
+  return *ctx(rank).staging;
+}
+
 std::uint64_t Engine::GpuCacheUsed(sim::Rank rank) const {
   std::uint64_t used = 0;
   for (int i = 0; i < stack_.num_cache_tiers(); ++i) {
@@ -1889,14 +1894,14 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
 
   // Lands (rank, v) on the shallowest durable store that accepts it,
   // directly from this tier's copy. Device-tier sources stage through a
-  // transient pinned buffer first (without GPUDirect the drive cannot read
+  // pooled pinned buffer first (without GPUDirect the drive cannot read
   // device memory). Returns the result to apply under the lock.
   const auto put_from_tier = [&](Version v, sim::ConstBytePtr src,
                                  std::uint64_t size) -> TerminalPutResult {
     if (!stack_.is_device(tier)) {
       return PutTerminal(c, v, src, size, rng, 0, /*land=*/true);
     }
-    sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
+    sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
                                                  sim::MemcpyKind::kD2H, flow);
@@ -2398,7 +2403,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
 
     if (src_tier < 0 && ncache == 1) {
       // Single cache tier: fetch from the stores straight into the
-      // reserved slot (staging through transient pinned memory when the
+      // reserved slot (staging through a pooled pinned buffer when the
       // tier is device-backed and GPUDirect is off).
       sim::BytePtr slot =
           BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
@@ -2411,7 +2416,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
       lock.unlock();
       util::Status st;
       if (device0) {
-        sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
+        sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
         st = GetDurable(c, v, staging.data(), size, durable, rng, abandon,
                         fetch_retries, fell_back, served);
         if (st.ok()) {

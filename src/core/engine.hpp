@@ -48,6 +48,7 @@
 #include "simgpu/cluster.hpp"
 #include "simgpu/copy.hpp"
 #include "simgpu/pinned.hpp"
+#include "simgpu/staging_pool.hpp"
 #include "storage/object_store.hpp"
 #include "util/checked_mutex.hpp"
 #include "util/clock.hpp"
@@ -273,6 +274,12 @@ class Engine final : public Runtime {
   /// device tier or while the arena is still registering (async_pin_init).
   [[nodiscard]] const sim::PinnedArena* PinnedArenaOf(sim::Rank rank,
                                                       TierIndex tier) const;
+  /// The rank's pinned staging pool: the bounce buffers of transfers that
+  /// bypass the pinned cache tiers (direct store reads, device-tier flushes
+  /// and promotions without GPUDirect, oversize write-through). Read-only;
+  /// its registration counters show reuse without timing.
+  [[nodiscard]] const sim::PinnedStagingPool& StagingPoolOf(
+      sim::Rank rank) const;
   /// Legacy aliases: the device tier's usage, and the summed usage of the
   /// pinned-host cache tiers.
   [[nodiscard]] std::uint64_t GpuCacheUsed(sim::Rank rank) const;
@@ -575,6 +582,9 @@ class Engine final : public Runtime {
 
     std::vector<std::unique_ptr<CacheTierRt>> tiers;  ///< cache tiers only
     std::jthread t_pin;  ///< pinned-tier bring-up
+    /// Bounce buffers for staged transfers that own no cache slot; pinned
+    /// once and reused (paper idea 4). Its lock is a leaf (DESIGN.md §10.1).
+    std::unique_ptr<sim::PinnedStagingPool> staging;
 
     std::uint64_t inflight_flushes = 0;       ///< records not yet flush_done
     std::uint64_t prefetched_pinned_bytes = 0;

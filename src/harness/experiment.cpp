@@ -16,6 +16,19 @@
 #include "util/telemetry.hpp"
 
 namespace ckpt::harness {
+namespace {
+
+// Lets every flush of ranks [0, num_ranks) finish before the caller reads
+// metrics and shuts the runtime down; Shutdown() would otherwise cancel
+// flushes still queued or waiting for cache space. A failed flush is not an
+// error here: the metrics snapshot reports it.
+void DrainFlushes(core::Runtime& runtime, int num_ranks) {
+  for (int r = 0; r < num_ranks; ++r) {
+    (void)runtime.WaitForFlushes(r);
+  }
+}
+
+}  // namespace
 
 std::string ConfigName(Approach a, rtm::HintMode hints) {
   const char* h = "";
@@ -135,6 +148,7 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
   }
 
   auto shot = rtm::RunShot(cluster, *runtime, cfg.shot, cfg.num_ranks);
+  DrainFlushes(*runtime, cfg.num_ranks);
   // Stop sampling before teardown: the final tick closes the window while
   // the flush workers and probe cells are still alive.
   if (sampler != nullptr) sampler->Stop();
@@ -300,6 +314,8 @@ util::StatusOr<MultiTenantResult> RunMultiTenantExperiment(
   auto shot = rtm::RunShot(cluster, *engine, cfg.shot, cfg.ranks_per_tenant);
   for (std::thread& t : synth) t.join();
   const double wall_s = wall.ElapsedSec();
+  // The synthetic tenant's threads drained their own ranks before exiting.
+  DrainFlushes(*engine, cfg.ranks_per_tenant);
 
   MultiTenantResult result;
   result.wall_s = wall_s;
