@@ -48,9 +48,17 @@ int main() {
 
   // --- Listing 1 ---------------------------------------------------------
   for (int ver = kNumCkpts - 1; ver >= 0; --ver) {  // announce reverse order
-    veloc.PrefetchEnqueue(static_cast<core::Version>(ver));
+    if (auto st = veloc.PrefetchEnqueue(static_cast<core::Version>(ver));
+        !st.ok()) {
+      std::fprintf(stderr, "prefetch hint %d failed: %s\n", ver,
+                   st.ToString().c_str());
+      return 1;
+    }
   }
-  veloc.MemProtect(1, *buf, kSize);
+  if (auto st = veloc.MemProtect(1, *buf, kSize); !st.ok()) {
+    std::fprintf(stderr, "mem protect failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
   for (int ver = 0; ver < kNumCkpts; ++ver) {       // forward pass
     rtm::FillPattern(0, static_cast<core::Version>(ver), *buf, kSize);
     if (auto st = veloc.Checkpoint("quickstart", static_cast<core::Version>(ver));
@@ -60,11 +68,22 @@ int main() {
       return 1;
     }
   }
-  veloc.PrefetchStart();
+  if (auto st = veloc.PrefetchStart(); !st.ok()) {
+    std::fprintf(stderr, "prefetch start failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
   int verified = 0;
   for (int ver = kNumCkpts - 1; ver >= 0; --ver) {  // backward pass
     auto size = veloc.RecoverSize(static_cast<core::Version>(ver), 1);
-    veloc.MemProtect(1, *buf, *size);
+    if (!size.ok()) {
+      std::fprintf(stderr, "recover size %d failed: %s\n", ver,
+                   size.status().ToString().c_str());
+      return 1;
+    }
+    if (auto st = veloc.MemProtect(1, *buf, *size); !st.ok()) {
+      std::fprintf(stderr, "mem protect failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
     if (auto st = veloc.Restart(static_cast<core::Version>(ver)); !st.ok()) {
       std::fprintf(stderr, "restore %d failed: %s\n", ver,
                    st.ToString().c_str());

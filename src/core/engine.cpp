@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <optional>
 
 #include "simgpu/copy.hpp"
 #include "util/clock.hpp"
@@ -27,9 +28,13 @@ constexpr auto kReplanMax = std::chrono::milliseconds(20);
 /// headroom, ReserveOn returns kCapacityExceeded and the caller falls back
 /// to a deeper tier (DESIGN.md §12).
 constexpr int kQuotaRoundsMax = 5;
-/// Salts the durable drain's retry-jitter stream apart from the
-/// prefetcher's, with which it shares a stream number.
+/// Salt the durable drain's and the deeper promotion stages' retry-jitter
+/// streams apart from T_PF's, with which they share a stream number.
 constexpr std::uint64_t kDrainRngSalt = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kStageRngSalt = 0xC2B2AE3D27D4EB4Full;
+/// Re-check period of the promotion stages' waits that no notify covers
+/// (lock-free hint enqueue, unwritten or still-landing versions).
+constexpr auto kPrefetchRecheck = std::chrono::milliseconds(10);
 
 storage::ObjectKey KeyOf(sim::Rank rank, Version v) {
   return storage::ObjectKey{rank, v};
@@ -291,13 +296,17 @@ void Engine::Init(int num_ranks) {
     });
 
     // Dedicated background threads (§4.3.1): one flush stage per cache
-    // tier plus the prefetcher.
+    // tier, then the promotion stages. GPUDirect promotions bypass the
+    // deeper cache tiers, so only T_PF (tier 0) runs then.
     RankCtx* ctx_ptr = c.get();
     for (int i = 0; i < ncache; ++i) {
       c->tiers[static_cast<std::size_t>(i)]->worker =
           std::jthread([this, ctx_ptr, i] { FlushStageLoop(*ctx_ptr, i); });
     }
-    c->t_pf = std::jthread([this, ctx_ptr] { PrefetchLoop(*ctx_ptr); });
+    for (int i = 0; i < (options_.gpudirect ? 1 : ncache); ++i) {
+      c->tiers[static_cast<std::size_t>(i)]->promoter =
+          std::jthread([this, ctx_ptr, i] { PromoteStageLoop(*ctx_ptr, i); });
+    }
     // Only a stack whose terminal tier sits below another durable tier can
     // land a copy short of the terminal.
     if (stack_.terminal_ordinal() > 0) {
@@ -339,7 +348,9 @@ void Engine::Shutdown() {
     // flush stages, it disposes of its remaining items before exiting.
     c->drain_q.Close();
     if (c->t_drain.joinable()) c->t_drain.join();
-    if (c->t_pf.joinable()) c->t_pf.join();
+    for (auto& t : c->tiers) {
+      if (t->promoter.joinable()) t->promoter.join();
+    }
   }
   // Release the device cache arenas back to the devices.
   for (auto& c : ranks_) {
@@ -362,7 +373,8 @@ const Engine::RankCtx& Engine::ctx(sim::Rank rank) const {
 std::mt19937_64 Engine::RngFor(const RankCtx& ctx_, std::uint64_t stream,
                                std::uint64_t salt) const {
   // Distinct deterministic stream per rank and per worker: flush stage i
-  // uses stream i, the prefetcher num_cache, direct paths num_cache + 1.
+  // uses stream i, the promotion stages num_cache (salted apart below tier
+  // 0), direct paths num_cache + 1.
   const auto stride =
       static_cast<std::uint64_t>(stack_.num_cache_tiers()) + 2;
   return util::MakeRng(options_.retry_seed ^ salt,
@@ -431,7 +443,9 @@ bool Engine::SafeBelow(const Record& rec, TierIndex tier) const {
 
 bool Engine::ExcludedOn(const Record& rec, TierIndex tier) const {
   const Residency& res = rec.res[static_cast<std::size_t>(tier)];
-  if (res.busy()) return true;
+  // A blocked Restore is about to read this copy (it may be waiting for a
+  // promotion or a staging read to land it).
+  if (res.busy() || rec.restore_waiting) return true;
   // Condition (4): a prefetched checkpoint is pinned on the fast tier until
   // consumed.
   if (tier == 0 && StatePinsFastTier(rec.state)) return true;
@@ -445,6 +459,11 @@ bool Engine::EvictableNow(const Record& rec, TierIndex tier) const {
   // when condition (5) applies (discardable); otherwise durability still
   // requires its pending flushes, so the copy must survive until then.
   return rec.state == CkptState::kConsumed && options_.discard_after_restore;
+}
+
+bool Engine::Hinted(const RankCtx& ctx_, const Record& rec) {
+  return rec.state != CkptState::kConsumed &&
+         ctx_.hints.DistanceOf(rec.version).has_value();
 }
 
 double Engine::EtaSeconds(const RankCtx& ctx_, const Record& rec,
@@ -467,8 +486,9 @@ CacheBuffer& Engine::BufferFor(RankCtx& ctx_, TierIndex tier,
   return pf ? *t.prefetch_buf : *t.write_buf;
 }
 
-CacheBuffer::MetaFn Engine::MakeMetaFn(RankCtx& ctx_, TierIndex tier) {
-  return [this, &ctx_, tier](EntryId id, FragmentView& v) {
+CacheBuffer::MetaFn Engine::MakeMetaFn(RankCtx& ctx_, TierIndex tier,
+                                       bool keep_hinted) {
+  return [this, &ctx_, tier, keep_hinted](EntryId id, FragmentView& v) {
     CKPT_ASSERT_HELD(ctx_.mu);
     auto it = ctx_.records.find(id);
     if (it == ctx_.records.end()) {
@@ -476,11 +496,15 @@ CacheBuffer::MetaFn Engine::MakeMetaFn(RankCtx& ctx_, TierIndex tier) {
       return;
     }
     const Record& rec = it->second;
-    v.excluded = ExcludedOn(rec, tier);
+    const std::optional<std::uint64_t> d =
+        rec.state == CkptState::kConsumed ? std::nullopt
+                                          : ctx_.hints.DistanceOf(rec.version);
+    // `d` is set exactly when the record is Hinted.
+    v.excluded = ExcludedOn(rec, tier) || (keep_hinted && d.has_value());
     v.eta = v.excluded ? 0.0 : EtaSeconds(ctx_, rec, tier);
     if (rec.state == CkptState::kConsumed) {
       v.distance = kConsumedDistance;
-    } else if (auto d = ctx_.hints.DistanceOf(rec.version)) {
+    } else if (d) {
       v.distance = static_cast<double>(*d);
     } else {
       v.distance = kUnhintedDistance;
@@ -633,7 +657,7 @@ bool Engine::DrainHints(RankCtx& ctx_) {
 util::StatusOr<std::uint64_t> Engine::ReserveOn(
     RankCtx& ctx_, std::unique_lock<util::CheckedMutex>& lock, TierIndex tier,
     ReservePurpose purpose, Version v, std::uint64_t size,
-    const std::function<bool()>& abort) {
+    const std::function<bool()>& abort, bool keep_hinted) {
   CKPT_ASSERT_HELD(ctx_.mu);
   CacheTierRt& t = *ctx_.tiers[static_cast<std::size_t>(tier)];
   if (!t.ready.load(std::memory_order_acquire)) {
@@ -644,12 +668,19 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     if (ctx_.shutdown) return util::ShutdownError("engine stopping");
   }
   CacheBuffer& buf = BufferFor(ctx_, tier, purpose);
-  const CacheBuffer::MetaFn meta = MakeMetaFn(ctx_, tier);
+  const CacheBuffer::MetaFn meta = MakeMetaFn(ctx_, tier, keep_hinted);
   const Stopwatch wait_sw;
   double& wait_metric = purpose == ReservePurpose::kPrefetch
                             ? ctx_.metrics.reserve_wait_prefetch_s
                             : ctx_.metrics.reserve_wait_write_s;
-  const auto charge_wait = [&] { wait_metric += wait_sw.ElapsedSec(); };
+  const auto charge_wait = [&] {
+    if (!keep_hinted) wait_metric += wait_sw.ElapsedSec();
+  };
+  // A victim must still be evictable at commit, and still unhinted under
+  // the no-thrash guard (a hint may have been folded in meanwhile).
+  const auto evictable = [&](const Record& rec) {
+    return EvictableNow(rec, tier) && !(keep_hinted && Hinted(ctx_, rec));
+  };
   // Hoisted out of the round loop: consecutive rounds whose table version is
   // unchanged (typically stale replans — the geometry didn't move, only the
   // annotations did) reuse the fragment list instead of re-copying it.
@@ -734,6 +765,10 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       continue;
     }
     if (plan->wait_eta <= 0.0) {
+      // The quota was checked before the plan, and another reservation of
+      // this tenant may have committed while the lock was dropped: check
+      // it again (the round's top sheds or waits).
+      if (OverTenantQuota(ctx_, size)) continue;
       // The plan was made against `snap` with the lock dropped. Buffer
       // mutations only happen on threads holding ctx.mu, so under the lock
       // the version is stable: if it still matches and every victim is
@@ -742,7 +777,7 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       bool stale = buf.table_version() != snap.version;
       for (std::size_t i = 0; !stale && i < plan->victims.size(); ++i) {
         auto it = ctx_.records.find(plan->victims[i]);
-        stale = it == ctx_.records.end() || !EvictableNow(it->second, tier);
+        stale = it == ctx_.records.end() || !evictable(it->second);
       }
       if (!stale && options_.test_force_stale_plan &&
           options_.test_force_stale_plan(round)) {
@@ -1264,15 +1299,19 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   NotifyPrefetch(c);
   NotifyReserveAll(c);
 
-  // If the prefetcher owns an in-flight promotion of this version, wait for
-  // it rather than issuing a duplicate transfer (§4.3.2). The prefetcher
-  // aborts stuck promotions when it sees restore_waiting, so this wait is
-  // bounded.
+  // If the prefetcher owns an in-flight promotion of this version, or a
+  // promotion stage is reading it from the stores, wait for it rather than
+  // issuing a duplicate transfer (§4.3.2). The prefetcher aborts stuck
+  // promotions when it sees restore_waiting, and a staging read ends with
+  // its store read, so this wait is bounded.
   bool waited_promotion = false;
-  while (rec.prefetch_claimed &&
-         !rec.res.empty() && !rec.res[0].valid && !c.shutdown) {
+  while (((rec.prefetch_claimed && !rec.res[0].valid) ||
+          (rec.staging && !rec.AnyCached())) &&
+         !c.shutdown) {
     waited_promotion = true;
-    c.cv_state.wait(lock);  // promotion completion/rollback is an Advance
+    // Promotion completion/rollback is an Advance; a staging read's end
+    // notifies cv_state too.
+    c.cv_state.wait(lock);
   }
   if (c.shutdown) {
     rec.restore_waiting = false;
@@ -1424,6 +1463,7 @@ util::Status Engine::PrefetchEnqueue(sim::Rank rank, Version v) {
   c.hint_inbox.Push(v);
   ProbeAdd(c.probe.hints_enqueued);
   NotifyPrefetch(c);
+  NotifyStage(c);
   return util::OkStatus();
 }
 
@@ -1433,6 +1473,7 @@ util::Status Engine::PrefetchStart(sim::Rank rank) {
   if (c.shutdown) return util::ShutdownError("engine stopping");
   c.prefetch_started = true;
   NotifyPrefetch(c);
+  NotifyStage(c);
   return util::OkStatus();
 }
 
@@ -2201,14 +2242,34 @@ void Engine::DurableDrainLoop(RankCtx& c) {
   }
 }
 
-void Engine::PrefetchLoop(RankCtx& c) {
-  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
-                       "/prefetch");
-  const sim::GpuId gpu = cluster_.topology().gpu_of_rank(c.rank);
-  const sim::Flow flow = FlowOf(c);
-  const int ncache = stack_.num_cache_tiers();
-  std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache));
-  const std::uint64_t pin_cap = static_cast<std::uint64_t>(
+// One promotion stage per cache tier (the paper's T_PF on every tier,
+// mirroring the flush stages): the stage of `tier` fills it from the
+// shallowest source below. Tier 0's stage is the prefetcher: it pops the
+// restore-order hints, claims each version FLUSHED -> READ_IN_PROGRESS ->
+// READ_COMPLETE and pins what it lands under prefetch_pin_fraction. A
+// deeper tier's stage reads ahead of it without popping or touching the
+// FSM, so store reads start as soon as space opens on its tier rather than
+// when a hint reaches the head of the queue behind the pin cap.
+void Engine::PromoteStageLoop(RankCtx& c, TierIndex tier) {
+  // A deeper stage names its thread when it first stages: until then it
+  // allocates nothing, so on a workload that never stages its idle thread
+  // takes no malloc arena of its own (no resident-memory cost).
+  bool named = false;
+  const auto name_thread = [&] {
+    if (named) return;
+    named = true;
+    trace::SetThreadName(
+        TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
+        (tier == 0 ? "/prefetch"
+                   : "/prefetch:" + std::string(stack_.name(
+                                        static_cast<std::size_t>(tier)))));
+  };
+  if (tier == 0) name_thread();
+  // Tier 0 keeps the prefetcher's historical retry stream.
+  std::mt19937_64 rng =
+      RngFor(c, static_cast<std::uint64_t>(stack_.num_cache_tiers()),
+             tier == 0 ? 0 : kStageRngSalt + static_cast<std::uint64_t>(tier));
+  const auto pin_cap = static_cast<std::uint64_t>(
       static_cast<double>(c.tiers[0]->capacity) *
       options_.prefetch_pin_fraction);
   // Declared before the lock: flushes whatever is still queued when the
@@ -2219,88 +2280,33 @@ void Engine::PrefetchLoop(RankCtx& c) {
     // Emit the previous iteration's queued trace events while nothing else
     // is held up (briefly drops the lock; no-op when the queue is empty).
     PublishQueuedTraceLocked(c, lock);
-    // Bounded wait: PrefetchEnqueue notifies cv_prefetch without holding
-    // ctx.mu (lock-free hint path), so a notify can land between the
-    // predicate check and the block. The 10 ms re-drain bounds that race.
-    c.cv_prefetch.wait_for(lock, std::chrono::milliseconds(10), [&] {
-      DrainHints(c);
-      return c.shutdown ||
-             (c.prefetch_started && c.hints.Head().has_value());
-    });
+    Record* next = tier == 0 ? NextPromotion(c, lock, pin_cap)
+                             : NextStaging(c, lock, tier);
     if (c.shutdown) return;
-    if (!c.prefetch_started || !c.hints.Head().has_value()) continue;
-    const Version v = *c.hints.Head();
+    if (next == nullptr) continue;
+    Record& rec = *next;
+    const Version v = rec.version;
+    const std::int64_t begin = util::NowNs();
 
-    auto rec_or = FindOrImport(c, v);
-    if (!rec_or.ok()) {
-      // Hint for a checkpoint that has not been written yet (Listing 1
-      // enqueues the whole restore order before the forward pass). Wait for
-      // it to appear; Checkpoint() notifies on record creation.
-      c.cv_prefetch.wait_for(lock, std::chrono::milliseconds(10));
-      continue;
-    }
-    Record& rec = **rec_or;
-
-    if (rec.restore_waiting) {
-      // The application is already blocked reading this version through the
-      // direct path (it dropped its own pending hint); wait it out.
-      c.cv_prefetch.wait(lock, [&] { return c.shutdown || !rec.restore_waiting; });
-      continue;
-    }
-
-    const bool already_pinned = rec.res[0].valid && StatePinsFastTier(rec.state);
-    if (already_pinned) {
-      Touch(c, rec);
-      c.hints.PopHead();
-      ProbeAdd(c.probe.hints_retired);
-      ++c.metrics.prefetch_gpu_hits;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
-      continue;
-    }
-
-    if (!rec.AnyCached() && !rec.AnyDurable()) {
-      if (rec.state == CkptState::kConsumed ||
-          rec.state == CkptState::kFlushFailed) {
-        c.hints.PopHead();  // discarded (condition (5)) or lost: no fetch
-        ProbeAdd(c.probe.hints_retired);
-      } else {
-        // The write that produces this version is still copying into the
-        // fast cache; no residency is valid yet. Wait for it to land.
-        c.cv_prefetch.wait_for(lock, std::chrono::milliseconds(10));
+    if (tier > 0) {
+      name_thread();
+      // Staging: a clean copy, no claim and no pin. Restore or T_PF taking
+      // the version over, a shallower stage landing it first, its
+      // consumption, or a new flush abandons the reservation.
+      const util::Status st = FillTier(
+          c, lock, rec, tier, /*keep_hinted=*/true, rng, [&] {
+            return rec.restore_waiting || rec.prefetch_claimed ||
+                   rec.state == CkptState::kConsumed || !StagingOpen(c) ||
+                   rec.HeldUpTo(tier - 1);
+          });
+      if (st.ok()) {
+        Touch(c, rec);
+        QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:stage", begin, tier,
+                       v, rec.size);
+      } else if (st.code() != util::ErrorCode::kCancelled && !c.shutdown) {
+        // A failed read or a quota refusal: back off instead of spinning.
+        c.cv_stage.wait_for(lock, kPrefetchRecheck);
       }
-      continue;
-    }
-
-    // Thrash control: cap the bytes pinned by unconsumed prefetched
-    // checkpoints so interleaved writers always keep cache headroom. This
-    // governs BOTH pin paths — promotions and already-on-fast-tier hits —
-    // or an interleaved producer could find every cache slot pinned.
-    bool aborted = false;
-    while (c.prefetched_pinned_bytes + rec.size > pin_cap && !c.shutdown) {
-      if (rec.restore_waiting) {
-        aborted = true;
-        break;
-      }
-      c.cv_prefetch.wait(lock);  // ReleasePin / restore_waiting notify here
-    }
-    if (c.shutdown) return;
-    if (aborted || c.hints.Head() != std::optional<Version>(v)) {
-      // The application deviated meanwhile; re-evaluate from the top. The
-      // hint (if still present) is served by the direct path.
-      ++c.metrics.prefetch_aborts;
-      continue;
-    }
-
-    if (rec.res[0].valid) {
-      // Already resident on the fast tier: pin it per the life cycle
-      // (FLUSHED/WRITE_* -> READ_COMPLETE without any transfer).
-      Touch(c, rec);
-      Advance(c, rec, CkptState::kReadComplete);
-      AddPin(c, rec);
-      c.hints.PopHead();
-      ProbeAdd(c.probe.hints_retired);
-      ++c.metrics.prefetch_gpu_hits;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
       continue;
     }
 
@@ -2309,239 +2315,310 @@ void Engine::PrefetchLoop(RankCtx& c) {
     ProbeAdd(c.probe.hints_retired);
     rec.prefetch_claimed = true;
     Advance(c, rec, CkptState::kReadInProgress);
-    const std::int64_t promo_begin = util::NowNs();
-
-    auto rollback = [&] {
-      rec.prefetch_claimed = false;
+    const util::Status st = FillTier(c, lock, rec, 0, /*keep_hinted=*/false,
+                                     rng, [&] { return rec.restore_waiting; });
+    rec.prefetch_claimed = false;
+    if (!st.ok()) {
       // Advance() wakes cv_state, where Restore's promotion wait re-checks
-      // prefetch_claimed.
+      // prefetch_claimed, and the fast tier's channel.
       Advance(c, rec,
               rec.flush_done ? CkptState::kFlushed : CkptState::kWriteInProgress);
       ++c.metrics.prefetch_aborts;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:abort", 0, v,
-                   rec.size);
-    };
-
-    // Promotion source: the shallowest cache tier below the fast one still
-    // holding a copy, else the durable stores.
-    int src_tier = -1;
-    for (int j = 1; j < ncache; ++j) {
-      if (rec.res[static_cast<std::size_t>(j)].valid) {
-        src_tier = j;
-        break;
-      }
-    }
-    if (src_tier > 0) {
-      ++rec.res[static_cast<std::size_t>(src_tier)].read_refs;
-    }
-
-    auto goff = ReserveOn(c, lock, 0, ReservePurpose::kPrefetch, v, rec.size,
-                          /*abort=*/[&] { return rec.restore_waiting; });
-    if (!goff.ok()) {
-      if (src_tier > 0) {
-        --rec.res[static_cast<std::size_t>(src_tier)].read_refs;
-        NotifyReserve(c, src_tier);
-      }
-      rollback();
-      if (c.shutdown) return;
+      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:abort", 0, v, rec.size);
       continue;
     }
-    rec.res[0].offset = *goff;
-    rec.res[0].io_pending = true;
-    rec.res[0].part = ReservePurpose::kPrefetch;
-
-    const auto abandon = [&c, &rec] {
-      std::lock_guard l(c.mu);
-      return c.shutdown || rec.restore_waiting;
-    };
-
-    if (src_tier < 0 && options_.gpudirect && stack_.is_device(0)) {
-      // GPUDirect promotion: DMA the checkpoint from the store straight
-      // into the reserved device cache slot, bypassing the pinned tiers.
-      sim::BytePtr gdst =
-          BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
-      const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
-      lock.unlock();
-      util::Status st = GetDurable(c, v, gdst, size, durable, rng, abandon,
-                                   fetch_retries, fell_back, served);
-      if (st.ok()) {
-        sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                                sim::Topology::LinkDir::kH2D);
-      }
-      lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      rec.res[0].io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "GPUDirect read failed: " << st.ToString();
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        continue;
-      }
-      rec.res[0].valid = true;
-      rec.prefetch_claimed = false;
-      Touch(c, rec);
-      Advance(c, rec, CkptState::kReadComplete);
-      AddPin(c, rec);
-      ++c.metrics.prefetch_promotions;
-      QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                     0, v, rec.size);
-      if (lineage_) {
-        QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-                  trace::FlowPhase::kStep, 0, v, rec.size);
-      }
-      c.metrics.promotion_hist.Add(
-          static_cast<double>(util::NowNs() - promo_begin) / 1e9);
-      continue;  // Advance() above already woke the state channel
-    }
-
-    if (src_tier < 0 && ncache == 1) {
-      // Single cache tier: fetch from the stores straight into the
-      // reserved slot (staging through a pooled pinned buffer when the
-      // tier is device-backed and GPUDirect is off).
-      sim::BytePtr slot =
-          BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
-      const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
-      const bool device0 = stack_.is_device(0);
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
-      lock.unlock();
-      util::Status st;
-      if (device0) {
-        sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
-        st = GetDurable(c, v, staging.data(), size, durable, rng, abandon,
-                        fetch_retries, fell_back, served);
-        if (st.ok()) {
-          st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
-                                    staging.data(), size,
-                                    sim::MemcpyKind::kH2D, flow);
-        }
-      } else {
-        st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
-                        fell_back, served);
-      }
-      lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      rec.res[0].io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "store read failed: " << st.ToString();
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        continue;
-      }
-      rec.res[0].valid = true;
-      rec.prefetch_claimed = false;
-      Touch(c, rec);
-      Advance(c, rec, CkptState::kReadComplete);
-      AddPin(c, rec);
-      ++c.metrics.prefetch_promotions;
-      QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                     0, v, rec.size);
-      if (lineage_) {
-        QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-                  trace::FlowPhase::kStep, 0, v, rec.size);
-      }
-      c.metrics.promotion_hist.Add(
-          static_cast<double>(util::NowNs() - promo_begin) / 1e9);
-      continue;  // Advance() above already woke the state channel
-    }
-
-    if (src_tier < 0) {
-      // Multi-level promotion: store -> deepest cache tier -> fast tier,
-      // warming the deep cache on the way up.
-      const int w = ncache - 1;
-      auto hoff = ReserveOn(c, lock, w, ReservePurpose::kPrefetch, v, rec.size,
-                            /*abort=*/[&] { return rec.restore_waiting; });
-      if (!hoff.ok()) {
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        if (c.shutdown) return;
-        continue;
-      }
-      Residency& wres = rec.res[static_cast<std::size_t>(w)];
-      wres.offset = *hoff;
-      wres.io_pending = true;
-      wres.part = ReservePurpose::kPrefetch;
-      sim::BytePtr hdst =
-          BufferFor(c, w, ReservePurpose::kPrefetch).PtrAt(*hoff);
-      const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
-      lock.unlock();
-      const util::Status st = GetDurable(c, v, hdst, size, durable, rng,
-                                         abandon, fetch_retries, fell_back,
-                                         served);
-      lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      wres.io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "store read failed: " << st.ToString();
-        (void)BufferFor(c, w, ReservePurpose::kPrefetch).Release(v);
-        wres.Clear();
-        NotifyReserve(c, w);  // deep-tier reservation released
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();  // Advance() inside wakes the fast tier's channel
-        continue;
-      }
-      wres.valid = true;
-      ++wres.read_refs;
-      src_tier = w;
-    }
-
-    // Final hop: src_tier -> fast tier.
-    Residency& sres = rec.res[static_cast<std::size_t>(src_tier)];
-    sim::ConstBytePtr src = BufferFor(c, src_tier, sres.part).PtrAt(sres.offset);
-    sim::BytePtr dst =
-        BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
-    const std::uint64_t size = rec.size;
-    const sim::MemcpyKind kind = stack_.is_device(0) ? sim::MemcpyKind::kH2D
-                                                     : sim::MemcpyKind::kH2H;
-    lock.unlock();
-    const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
-                                                 src, size, kind, flow);
-    lock.lock();
-    --sres.read_refs;
-    NotifyReserve(c, src_tier);  // source copy may now be evictable
-    rec.res[0].io_pending = false;
-    if (!st.ok()) {
-      CKPT_LOG(kError, "prefetch") << "promotion copy failed: " << st.ToString();
-      (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-      rec.res[0].Clear();
-      rollback();  // Advance() inside wakes the fast tier's channel
-      continue;
-    }
-    rec.res[0].valid = true;
-    rec.prefetch_claimed = false;
     Touch(c, rec);
     Advance(c, rec, CkptState::kReadComplete);  // wakes Restore's wait
     AddPin(c, rec);
     ++c.metrics.prefetch_promotions;
-    QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                   0, v, rec.size);
+    QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", begin, 0, v,
+                   rec.size);
     if (lineage_) {
       QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
                 trace::FlowPhase::kStep, 0, v, rec.size);
     }
-    c.metrics.promotion_hist.Add(
-        static_cast<double>(util::NowNs() - promo_begin) / 1e9);
+    c.metrics.promotion_hist.Add(static_cast<double>(util::NowNs() - begin) /
+                                 1e9);
   }
+}
+
+Engine::Record* Engine::NextPromotion(
+    RankCtx& c, std::unique_lock<util::CheckedMutex>& lock,
+    std::uint64_t pin_cap) {
+  // Bounded wait: PrefetchEnqueue notifies cv_prefetch without holding
+  // ctx.mu (lock-free hint path), so a notify can land between the
+  // predicate check and the block. The re-check period bounds that race.
+  c.cv_prefetch.wait_for(lock, kPrefetchRecheck, [&] {
+    DrainHints(c);
+    return c.shutdown || (c.prefetch_started && c.hints.Head().has_value());
+  });
+  if (c.shutdown || !c.prefetch_started || !c.hints.Head().has_value()) {
+    return nullptr;
+  }
+  const Version v = *c.hints.Head();
+
+  auto rec_or = FindOrImport(c, v);
+  if (!rec_or.ok()) {
+    // Hint for a checkpoint that has not been written yet (Listing 1
+    // enqueues the whole restore order before the forward pass). Wait for
+    // it to appear; Checkpoint() notifies on record creation.
+    c.cv_prefetch.wait_for(lock, kPrefetchRecheck);
+    return nullptr;
+  }
+  Record& rec = **rec_or;
+
+  if (rec.restore_waiting) {
+    // The application is already blocked reading this version through the
+    // direct path (it dropped its own pending hint); wait it out.
+    c.cv_prefetch.wait(lock, [&] { return c.shutdown || !rec.restore_waiting; });
+    return nullptr;
+  }
+
+  const bool already_pinned = rec.res[0].valid && StatePinsFastTier(rec.state);
+  if (already_pinned) {
+    Touch(c, rec);
+    c.hints.PopHead();
+    ProbeAdd(c.probe.hints_retired);
+    ++c.metrics.prefetch_gpu_hits;
+    QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
+    return nullptr;
+  }
+
+  if (!rec.AnyCached() && !rec.AnyDurable()) {
+    if (rec.state == CkptState::kConsumed ||
+        rec.state == CkptState::kFlushFailed) {
+      c.hints.PopHead();  // discarded (condition (5)) or lost: no fetch
+      ProbeAdd(c.probe.hints_retired);
+    } else {
+      // The write that produces this version is still copying into the
+      // fast cache; no residency is valid yet. Wait for it to land.
+      c.cv_prefetch.wait_for(lock, kPrefetchRecheck);
+    }
+    return nullptr;
+  }
+
+  // Thrash control: cap the bytes pinned by unconsumed prefetched
+  // checkpoints so interleaved writers always keep cache headroom. This
+  // governs BOTH pin paths — promotions and already-on-fast-tier hits —
+  // or an interleaved producer could find every cache slot pinned.
+  bool aborted = false;
+  while (c.prefetched_pinned_bytes + rec.size > pin_cap && !c.shutdown) {
+    if (rec.restore_waiting) {
+      aborted = true;
+      break;
+    }
+    c.cv_prefetch.wait(lock);  // ReleasePin / restore_waiting notify here
+  }
+  if (c.shutdown) return nullptr;
+  if (aborted || c.hints.Head() != std::optional<Version>(v)) {
+    // The application deviated meanwhile; re-evaluate from the top. The
+    // hint (if still present) is served by the direct path.
+    ++c.metrics.prefetch_aborts;
+    return nullptr;
+  }
+
+  if (rec.res[0].valid) {
+    // Already resident on the fast tier: pin it per the life cycle
+    // (FLUSHED/WRITE_* -> READ_COMPLETE without any transfer).
+    Touch(c, rec);
+    Advance(c, rec, CkptState::kReadComplete);
+    AddPin(c, rec);
+    c.hints.PopHead();
+    ProbeAdd(c.probe.hints_retired);
+    ++c.metrics.prefetch_gpu_hits;
+    QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
+    return nullptr;
+  }
+
+  if (rec.staging) {
+    // A deeper stage is reading this version from the stores: promote its
+    // copy once it lands instead of issuing a second read.
+    c.cv_prefetch.wait(lock, [&] { return c.shutdown || !rec.staging; });
+    return nullptr;
+  }
+  return &rec;
+}
+
+Engine::Record* Engine::NextStaging(RankCtx& c,
+                                    std::unique_lock<util::CheckedMutex>& lock,
+                                    TierIndex tier) {
+  const CacheTierRt& t = *c.tiers[static_cast<std::size_t>(tier)];
+  // The first hinted version, in restore order, that is worth staging
+  // here: written, clean (a durable copy to read), not consumed, not
+  // taken over by T_PF or Restore, and neither held nor being filled on
+  // this tier or any shallower one.
+  const auto candidate = [&]() -> Record* {
+    if (!c.prefetch_started || !StagingOpen(c) ||
+        !t.ready.load(std::memory_order_acquire)) {
+      return nullptr;
+    }
+    const std::uint64_t room =
+        BufferFor(c, tier, ReservePurpose::kPrefetch).capacity();
+    for (std::size_t i = 0;; ++i) {
+      const std::optional<Version> v = c.hints.Peek(i);
+      if (!v) return nullptr;
+      auto it = c.records.find(*v);
+      if (it == c.records.end()) continue;  // T_PF imports at the head
+      Record& rec = it->second;
+      if (!rec.staging && !rec.prefetch_claimed && !rec.restore_waiting &&
+          rec.state != CkptState::kConsumed && rec.AnyDurable() &&
+          rec.size <= room && !rec.HeldUpTo(tier)) {
+        return &rec;
+      }
+    }
+  };
+  Record* next = nullptr;
+  // Bounded like T_PF's wait; the re-walk also finds versions that became
+  // durable or lost a cached copy, and the flush pipeline draining. Hints
+  // still in the lock-free inbox are left to T_PF and Restore to fold in
+  // (DrainHints allocates queue nodes, which an idle stage must not).
+  c.cv_stage.wait_for(lock, kPrefetchRecheck, [&] {
+    next = c.shutdown ? nullptr : candidate();
+    return c.shutdown || next != nullptr;
+  });
+  return next;
+}
+
+util::Status Engine::FillTier(RankCtx& c,
+                              std::unique_lock<util::CheckedMutex>& lock,
+                              Record& rec, TierIndex tier, bool keep_hinted,
+                              std::mt19937_64& rng,
+                              const std::function<bool()>& abort) {
+  const int ncache = stack_.num_cache_tiers();
+  const sim::GpuId gpu = cluster_.topology().gpu_of_rank(c.rank);
+  const sim::Flow flow = FlowOf(c);
+  const Version v = rec.version;
+  const std::uint64_t size = rec.size;
+  const bool device = stack_.is_device(tier);
+  const bool gpudirect = device && options_.gpudirect;
+
+  // Source: the shallowest deeper cache tier holding a copy (held against
+  // eviction from here on), else the durable stores.
+  int src = -1;
+  const auto find_src = [&] {
+    for (int j = tier + 1; j < ncache; ++j) {
+      if (rec.res[static_cast<std::size_t>(j)].valid) {
+        src = j;
+        ++rec.res[static_cast<std::size_t>(j)].read_refs;
+        return;
+      }
+    }
+  };
+  find_src();
+  const auto unref_src = [&] {
+    if (src < 0) return;
+    --rec.res[static_cast<std::size_t>(src)].read_refs;
+    NotifyReserve(c, src);  // the source copy may now be evictable
+  };
+
+  auto off = ReserveOn(c, lock, tier, ReservePurpose::kPrefetch, v, size, abort,
+                       keep_hinted);
+  if (!off.ok()) {
+    unref_src();
+    return off.status();
+  }
+  CacheBuffer& buf = BufferFor(c, tier, ReservePurpose::kPrefetch);
+  Residency& dst = rec.res[static_cast<std::size_t>(tier)];
+  dst.offset = *off;
+  dst.io_pending = true;
+  dst.part = ReservePurpose::kPrefetch;
+  const auto drop_slot = [&] {
+    (void)buf.Release(v);
+    dst.Clear();
+    NotifyReserve(c, tier);  // reservation released
+  };
+  if (src < 0) {
+    // The reservation dropped the lock: a deeper copy may have landed
+    // meanwhile, or another stage may be reading the stores for `v` now.
+    find_src();
+    if (src < 0 && rec.staging) {
+      drop_slot();
+      return util::Cancelled("another stage is reading the version");
+    }
+  }
+
+  if (src < 0 && device && !gpudirect && ncache > 1) {
+    // The device tier has no pinned bounce of its own: fill the deepest
+    // cache tier from the stores, warming it on the way up, then hop.
+    // While the deeper stages stage, their hinted copies are read-ahead
+    // this fill must not evict (each would be read twice); with no room
+    // left, the application's Restore reads the version directly.
+    const util::Status st = FillTier(c, lock, rec, ncache - 1,
+                                     /*keep_hinted=*/StagingOpen(c), rng, abort);
+    if (!st.ok()) {
+      drop_slot();
+      return st;
+    }
+    src = ncache - 1;
+    ++rec.res[static_cast<std::size_t>(src)].read_refs;
+  }
+
+  sim::BytePtr slot = buf.PtrAt(*off);
+  util::Status st;
+  if (src >= 0) {
+    const Residency& sres = rec.res[static_cast<std::size_t>(src)];
+    sim::ConstBytePtr from = BufferFor(c, src, sres.part).PtrAt(sres.offset);
+    lock.unlock();
+    st = sim::ThrottledMemcpy(
+        cluster_.topology(), gpu, slot, from, size,
+        device ? sim::MemcpyKind::kH2D : sim::MemcpyKind::kH2H, flow);
+    lock.lock();
+    unref_src();
+  } else {
+    // Store read. `staging` lets Restore and T_PF wait for it rather than
+    // read the same version a second time.
+    const std::vector<unsigned char> durable = rec.durable;
+    std::uint64_t fetch_retries = 0;
+    bool fell_back = false;
+    TierIndex served = -1;
+    const auto abandon = [&] {
+      std::lock_guard l(c.mu);
+      return c.shutdown || (abort && abort());
+    };
+    rec.staging = true;
+    lock.unlock();
+    if (gpudirect) {
+      // GPUDirect: DMA from the store straight into the device slot.
+      st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
+                      fell_back, served);
+      if (st.ok()) {
+        sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
+                                sim::Topology::LinkDir::kH2D);
+      }
+    } else if (device) {
+      // The only cache tier is the device one: bounce through a pooled
+      // pinned buffer.
+      sim::PinnedStagingPool::Lease staging = c.staging->Acquire(size);
+      st = GetDurable(c, v, staging.data(), size, durable, rng, abandon,
+                      fetch_retries, fell_back, served);
+      if (st.ok()) {
+        st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
+                                  staging.data(), size, sim::MemcpyKind::kH2D,
+                                  flow);
+      }
+    } else {
+      st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
+                      fell_back, served);
+    }
+    lock.lock();
+    rec.staging = false;
+    NotifyState(c);     // Restore's staging wait
+    NotifyPrefetch(c);  // T_PF's staging wait
+    c.metrics.fetch_retries += fetch_retries;
+    ProbeAdd(c.probe.fetch_retries, fetch_retries);
+    if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
+  }
+  dst.io_pending = false;
+  if (!st.ok()) {
+    CKPT_LOG(kError, "prefetch")
+        << "rank " << c.rank << " ckpt " << v << ": fill of "
+        << stack_.name(static_cast<std::size_t>(tier))
+        << " failed: " << st.ToString();
+    drop_slot();
+    return st;
+  }
+  dst.valid = true;
+  return util::OkStatus();
 }
 
 }  // namespace ckpt::core

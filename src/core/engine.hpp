@@ -11,8 +11,13 @@
 //     worker of tier i drains copies from tier i to tier i+1, the last
 //     cache tier's worker lands them on the shallowest durable store that
 //     accepts them — the default stack's T_D2H and T_H2F are the i=0 and
-//     i=1 instances — plus T_PF (multi-tier prefetch promotions driven by
-//     the restore-order queue);
+//     i=1 instances;
+//   * one promotion stage per cache tier, driven by the restore-order
+//     queue (T_PF, prefetch on every tier): the stage of tier i fills tier
+//     i from the shallowest source below it. Tier 0's stage pops the hints
+//     and pins what it promotes; a deeper tier's stage reads ahead of it,
+//     staging clean copies of hinted versions into space that holds no
+//     hinted copy;
 //   * with more than one durable tier up to the terminal one, a durable
 //     drain worker that copies each landed checkpoint from its durable
 //     store to the deeper ones, so a slow terminal tier never holds a
@@ -425,6 +430,9 @@ class Engine final : public Runtime {
     std::vector<unsigned char> durable;
     bool restore_waiting = false;   ///< a Restore() call is blocked on this
     bool prefetch_claimed = false;  ///< T_PF owns an in-flight promotion
+    /// A promotion stage is reading this version from the durable stores
+    /// into a cache tier; Restore and T_PF wait for it instead of reading.
+    bool staging = false;
     bool pinned_counted = false;    ///< counted in prefetched_pinned_bytes
     bool flush_done = false;        ///< reached terminal tier (or cancelled)
     bool degraded = false;          ///< durable at a shallower tier than
@@ -464,6 +472,14 @@ class Engine final : public Runtime {
       }
       return false;
     }
+    /// A copy on cache tier `tier` or a shallower one, landed or landing.
+    [[nodiscard]] bool HeldUpTo(TierIndex tier) const noexcept {
+      for (TierIndex j = 0; j <= tier; ++j) {
+        const Residency& r = res[static_cast<std::size_t>(j)];
+        if (r.valid || r.io_pending) return true;
+      }
+      return false;
+    }
   };
 
   /// Per-rank runtime state of one cache tier.
@@ -486,7 +502,10 @@ class Engine final : public Runtime {
     /// residency cleared, read_refs dropped, a pin released, the tier
     /// became ready). Paired with ctx.mu.
     std::condition_variable_any cv_reserve;
-    std::jthread worker;  ///< FlushStageLoop for this tier
+    std::jthread worker;    ///< FlushStageLoop for this tier
+    /// PromoteStageLoop for this tier: T_PF on tier 0; on a deeper tier
+    /// only when the stack has >= 2 cache tiers and GPUDirect is off.
+    std::jthread promoter;
   };
 
   /// Lock-free telemetry probe cells (DESIGN.md §11): relaxed atomics the
@@ -565,12 +584,16 @@ class Engine final : public Runtime {
     mutable util::CheckedMutex mu;
     /// Per-role wakeup channels (DESIGN.md §10), all paired with `mu`.
     /// cv_state: FSM / flush progress (WaitForFlushes, Restore's promotion
-    /// wait, flush-stage reroute checks). cv_prefetch: the T_PF worker's
-    /// wait reasons (new hints, restore_waiting handoffs, pin releases,
-    /// landing-slot retries). Reservation waits live on the per-tier
-    /// CacheTierRt::cv_reserve channels.
+    /// and staging waits, flush-stage reroute checks). cv_prefetch: T_PF's
+    /// wait reasons (new hints, restore_waiting handoffs, pin
+    /// releases, landing-slot retries, staging reads landing). cv_stage:
+    /// the deeper promotion stages' idle wait (new hints, PrefetchStart),
+    /// kept apart so every checkpoint landing does not wake them.
+    /// Reservation waits live on the per-tier CacheTierRt::cv_reserve
+    /// channels.
     std::condition_variable_any cv_state;
     std::condition_variable_any cv_prefetch;
+    std::condition_variable_any cv_stage;
 
     std::unordered_map<Version, Record> records;
     RestoreQueue hints;
@@ -612,8 +635,6 @@ class Engine final : public Runtime {
     /// by PublishQueuedTrace / ScopedTracePublisher.
     std::vector<util::trace::Event> pending_trace;
 
-    std::jthread t_pf;
-
     /// Checkpoints landed on durable ordinal `src` short of the terminal
     /// tier, awaiting their copy to the deeper durable tiers.
     struct DrainItem {
@@ -626,20 +647,57 @@ class Engine final : public Runtime {
 
   void Init(int num_ranks);
 
-  // Background workers (num_cache_tiers flush stages + T_PF, per rank, plus
-  // the durable drain when the terminal tier is not the first durable one).
+  // Background workers (per rank: one flush stage per cache tier, one
+  // promotion stage per cache tier that has one, plus the durable drain
+  // when the terminal tier is not the first durable one).
   void FlushStageLoop(RankCtx& ctx, TierIndex tier);
-  void PrefetchLoop(RankCtx& ctx);
+  void PromoteStageLoop(RankCtx& ctx, TierIndex tier);
   void DurableDrainLoop(RankCtx& ctx);
+
+  // Promotion-stage helpers; ctx.mu held, dropped only where noted.
+  /// Tier 0's next claim: waits for a hint at the head, serves hits and
+  /// pins in place, and returns the record to promote, or nullptr when
+  /// the caller should re-evaluate (after a wait, a hit or a deviation).
+  Record* NextPromotion(RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock,
+                        std::uint64_t pin_cap);
+  /// Staging is read-ahead: the deeper stages run only while no flush of
+  /// the rank is in flight, so their reads never delay writes the drive
+  /// owes to durability.
+  static bool StagingOpen(const RankCtx& ctx) {
+    return ctx.inflight_flushes == 0;
+  }
+  /// A deeper stage's next staging: walks the hint queue from the head
+  /// without popping and returns the first clean hinted version that no
+  /// tier at or above `tier` holds or is filling, or nullptr after a
+  /// bounded wait.
+  Record* NextStaging(RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock,
+                      TierIndex tier);
+  /// The stage body: fills cache tier `tier` with `rec` from the
+  /// shallowest source below it (a deeper cache copy, else the stores; a
+  /// device tier without GPUDirect goes through the deepest cache tier, or
+  /// a pooled pinned buffer when it is the only one). `keep_hinted` is the
+  /// no-thrash guard of the reservation. On success rec.res[tier] is valid;
+  /// on failure every slot it reserved is released. Drops the lock across
+  /// the transfers.
+  util::Status FillTier(RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock,
+                        Record& rec, TierIndex tier, bool keep_hinted,
+                        std::mt19937_64& rng, const std::function<bool()>& abort);
 
   // Helpers; all require ctx.mu held unless noted. `tier` is a stack index
   // of a cache tier.
   [[nodiscard]] CacheBuffer& BufferFor(RankCtx& ctx, TierIndex tier,
                                        ReservePurpose purpose);
-  [[nodiscard]] CacheBuffer::MetaFn MakeMetaFn(RankCtx& ctx, TierIndex tier);
+  /// Eviction annotations for `tier`. With `keep_hinted` (the staging
+  /// reservation's no-thrash guard) every Hinted copy is excluded: staging
+  /// takes only gaps and consumed or unhinted copies.
+  [[nodiscard]] CacheBuffer::MetaFn MakeMetaFn(RankCtx& ctx, TierIndex tier,
+                                               bool keep_hinted);
   [[nodiscard]] bool SafeBelow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool EvictableNow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool ExcludedOn(const Record& rec, TierIndex tier) const;
+  /// An unconsumed checkpoint with a pending hint: what the no-thrash guard
+  /// never evicts.
+  [[nodiscard]] static bool Hinted(const RankCtx& ctx, const Record& rec);
   [[nodiscard]] double EtaSeconds(const RankCtx& ctx, const Record& rec,
                                   TierIndex tier) const;
   /// Refreshes `rec`'s LRU recency. Every read access must call this —
@@ -783,11 +841,14 @@ class Engine final : public Runtime {
   /// Blocking reservation loop: snapshot / plan off-lock / revalidate /
   /// commit-or-wait / re-plan. Waits on the tier's cv_reserve channel.
   /// `abort` (optional) is checked after each failed round; when it returns
-  /// true the reservation gives up with kCancelled.
+  /// true the reservation gives up with kCancelled. `keep_hinted` never
+  /// evicts a copy with a pending hint (see MakeMetaFn). Guarded waits are
+  /// not charged to reserve_wait_*_s: nearly all of them are a staging
+  /// stage waiting for room to read ahead, which blocks nobody.
   util::StatusOr<std::uint64_t> ReserveOn(
       RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock, TierIndex tier,
       ReservePurpose purpose, Version v, std::uint64_t size,
-      const std::function<bool()>& abort);
+      const std::function<bool()>& abort, bool keep_hinted = false);
 
   // --- Per-role wakeup helpers (DESIGN.md §10) ---
   /// A transition that may unblock reservations on cache tier `tier`
@@ -804,11 +865,14 @@ class Engine final : public Runtime {
   /// flush stage's validity re-checks.
   static void NotifyState(RankCtx& ctx) { ctx.cv_state.notify_all(); }
   /// Anything the T_PF worker waits for: hints, restore_waiting handoffs,
-  /// pin releases, landing-slot retries.
+  /// pin releases, landing-slot retries, staging reads landing.
   static void NotifyPrefetch(RankCtx& ctx) { ctx.cv_prefetch.notify_all(); }
+  /// New hints or PrefetchStart: work for the idle deeper stages.
+  static void NotifyStage(RankCtx& ctx) { ctx.cv_stage.notify_all(); }
   static void NotifyAllChannels(RankCtx& ctx) {
     NotifyState(ctx);
     NotifyPrefetch(ctx);
+    NotifyStage(ctx);
     NotifyReserveAll(ctx);
   }
   /// Folds hint_inbox into ctx.hints (requires ctx.mu). Returns true if any

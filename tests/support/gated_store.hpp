@@ -1,11 +1,12 @@
 // Test double shared by the engine and integration suites: a pass-through
-// ObjectStore whose Put blocks while its gate is closed, and which counts
-// the puts and gets it served.
+// ObjectStore whose Put blocks while its gate is closed, whose Get can be
+// held at a second gate, and which counts the puts and gets it served.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -17,15 +18,18 @@ namespace ckpt::test_support {
 /// Put blocks until the gate opens: freezes a flush pipeline at this store
 /// (queue depth > 0, landed bytes frozen) without failing any operation,
 /// which is exactly the hang signature the watchdog hunts. Gets and
-/// metadata calls pass straight through. Constructed with `open`, it is a
-/// plain counting wrapper.
+/// metadata calls pass straight through unless HoldGets() closed the get
+/// gate. Constructed with `open`, it is a plain counting wrapper.
 class GatedStore : public storage::ObjectStore {
  public:
   explicit GatedStore(std::shared_ptr<storage::ObjectStore> inner,
                       bool open = false)
       : inner_(std::move(inner)), open_(open) {}
 
-  ~GatedStore() override { Open(); }
+  ~GatedStore() override {
+    Open();
+    ReleaseGets();
+  }
 
   void Open() {
     {
@@ -45,9 +49,30 @@ class GatedStore : public storage::ObjectStore {
     puts_.fetch_add(1, std::memory_order_relaxed);
     return inner_->Put(key, data, size);
   }
+  /// Parks every later Get until ReleaseGets(). Gets count on arrival,
+  /// so a parked Get is already in gets().
+  void HoldGets() {
+    std::lock_guard lk(mu_);
+    gets_held_ = true;
+  }
+  void ReleaseGets() {
+    {
+      std::lock_guard lk(mu_);
+      gets_held_ = false;
+    }
+    cv_.notify_all();
+  }
+
   util::Status Get(const storage::ObjectKey& key, sim::BytePtr dst,
                    std::uint64_t size) override {
     gets_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::unique_lock lk(mu_);
+      ++gets_of_[key];
+      ++gets_parked_;
+      cv_.wait(lk, [this] { return !gets_held_; });
+      --gets_parked_;
+    }
     return inner_->Get(key, dst, size);
   }
   util::StatusOr<std::uint64_t> Size(
@@ -70,7 +95,18 @@ class GatedStore : public storage::ObjectStore {
     std::lock_guard lk(mu_);
     return parked_;
   }
-  /// Puts that passed the gate / Gets served, so far.
+  /// Gets waiting at the get gate right now.
+  [[nodiscard]] std::uint64_t gets_parked() const {
+    std::lock_guard lk(mu_);
+    return gets_parked_;
+  }
+  /// Gets issued for `key` so far.
+  [[nodiscard]] std::uint64_t gets_of(const storage::ObjectKey& key) const {
+    std::lock_guard lk(mu_);
+    const auto it = gets_of_.find(key);
+    return it == gets_of_.end() ? 0 : it->second;
+  }
+  /// Puts that passed the gate / Gets issued, so far.
   [[nodiscard]] std::uint64_t puts() const {
     return puts_.load(std::memory_order_relaxed);
   }
@@ -83,7 +119,10 @@ class GatedStore : public storage::ObjectStore {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+  bool gets_held_ = false;
   std::uint64_t parked_ = 0;
+  std::uint64_t gets_parked_ = 0;
+  std::map<storage::ObjectKey, std::uint64_t> gets_of_;
   std::atomic<std::uint64_t> puts_{0};
   std::atomic<std::uint64_t> gets_{0};
 };
