@@ -14,9 +14,7 @@
 #include "core/telemetry_sink.hpp"
 #include "core/tier_stack.hpp"
 #include "core/trace_sink.hpp"
-#include "storage/file_store.hpp"
 #include "storage/mem_store.hpp"
-#include "storage/remote_store.hpp"
 #include "storage/throttled_store.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
@@ -29,8 +27,6 @@ using namespace ckpt;
 
 struct GlobalContext {
   std::unique_ptr<sim::Cluster> cluster;
-  std::shared_ptr<storage::ObjectStore> ssd;
-  std::shared_ptr<storage::ObjectStore> pfs;
   std::unique_ptr<core::Engine> engine;  // after cluster: destroyed first
   std::unique_ptr<core::TelemetrySampler> sampler;  // after engine: stops first
   std::vector<std::unique_ptr<api::VelocClient>> clients;
@@ -76,20 +72,6 @@ api::VelocClient* ClientFor(int rank) {
   return g_ctx->clients[static_cast<std::size_t>(rank)].get();
 }
 
-/// Checks a durable tier's backend spec ("mem", "file=<dir>" or
-/// "s3://<bucket>[?opts]") without opening anything.
-util::Status CheckBackend(std::string_view tier, std::string_view backend) {
-  if (backend.empty() || backend == "mem" || backend.substr(0, 5) == "file=") {
-    return util::OkStatus();
-  }
-  if (backend.substr(0, 5) == "s3://") {
-    return storage::RemoteOptions::Parse(backend).status();
-  }
-  return util::InvalidArgument("tier '" + std::string(tier) +
-                               "': unknown backend '" + std::string(backend) +
-                               "' (want mem, file=<dir> or s3://<bucket>)");
-}
-
 }  // namespace
 
 extern "C" {
@@ -111,10 +93,6 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
   }
 
   core::EngineOptions opts;
-  opts.gpu_cache_bytes =
-      static_cast<std::uint64_t>(cfg.GetInt("gpu_cache", 4ll << 20));
-  opts.host_cache_bytes =
-      static_cast<std::uint64_t>(cfg.GetInt("host_cache", 32ll << 20));
   opts.discard_after_restore = cfg.GetBool("discard_after_restore", false);
   opts.gpudirect = cfg.GetBool("gpudirect", false);
   // Global default; cache tiers in a "tiers" spec may override per tier.
@@ -139,31 +117,19 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
     opts.tenants = std::move(*specs);
   }
   // Tier layout: a "tiers" key describes an arbitrary N-tier stack
-  // ("name:kind[:arg[:policy]],..." — see core/tier_stack.hpp); without it
-  // the classic GPU -> host -> SSD [-> PFS] stack is built from the legacy
-  // gpu_cache/host_cache/terminal_tier keys.
-  if (cfg.Has("tiers")) {
-    // Dry run over in-memory stand-ins: the grammar, capacities, policies,
-    // terminal tier and backend specs are all checked, nothing is opened.
-    const core::TierStoreFactory check =
-        [](std::string_view tier, std::string_view backend, int)
-        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      if (auto st = CheckBackend(tier, backend); !st.ok()) return st;
-      return std::shared_ptr<storage::ObjectStore>(
-          std::make_shared<storage::MemStore>());
-    };
-    if (auto st = core::TierStackFromConfig(cfg, check); !st.ok()) {
-      return FromStatus(st.status());
-    }
-  } else {
-    const std::string terminal = cfg.GetString("terminal_tier", "ssd");
-    if (terminal == "ssd") {
-      opts.terminal_tier = core::Tier::kSsd;
-    } else if (terminal == "pfs") {
-      opts.terminal_tier = core::Tier::kPfs;
-    } else {
-      return Fail(VELOCX_EINVAL, "unknown terminal tier '" + terminal + "'");
-    }
+  // ("name:kind[:arg[:policy]];..." — see core/tier_stack.hpp); without it
+  // the gpu_cache/host_cache/ssd_dir keys fill in the default spec. Dry run
+  // over in-memory stand-ins: the grammar, capacities, policies, terminal
+  // tier and backend specs are all checked, nothing is opened.
+  const core::TierStoreFactory check =
+      [](const std::string&, const std::string& backend, int)
+      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+    if (auto st = storage::CheckDurableBackend(backend); !st.ok()) return st;
+    return std::shared_ptr<storage::ObjectStore>(
+        std::make_shared<storage::MemStore>());
+  };
+  if (auto st = core::TierStackFromConfig(cfg, check); !st.ok()) {
+    return FromStatus(st.status());
   }
 
   // Tracing knobs: explicit config keys override the CKPT_TRACE* environment
@@ -199,51 +165,15 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
   auto ctx = std::make_unique<GlobalContext>();
   ctx->cluster = std::make_unique<sim::Cluster>(topo_cfg);
   const sim::Topology& topo = ctx->cluster->topology();
-  // Backend specs were vetted by CheckBackend above; opening them can
-  // still fail (an unwritable file= directory).
-  const auto open_backend = [&topo](std::string_view backend)
-      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-    if (backend.substr(0, 5) == "file=") {
-      auto fs = storage::FileStore::Open(std::string(backend.substr(5)));
-      if (!fs.ok()) return fs.status();
-      return std::shared_ptr<storage::ObjectStore>(std::move(*fs));
-    }
-    if (backend.substr(0, 5) == "s3://") {
-      return storage::OpenRemoteBackend(backend, &topo);
-    }
-    return std::shared_ptr<storage::ObjectStore>(
-        std::make_shared<storage::MemStore>());
-  };
-  if (cfg.Has("tiers")) {
-    const core::TierStoreFactory factory =
-        [&topo, &open_backend](std::string_view, std::string_view backend,
-                               int ordinal)
-        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      auto raw = open_backend(backend);
-      if (!raw.ok()) return raw.status();
-      // Remote backends model their own fabric charges (per-request latency
-      // plus uplink bandwidth inside RemoteStore) — wrapping them in the
-      // SSD/PFS bandwidth decorators would double-charge the same bytes.
-      if (backend.substr(0, 5) == "s3://") return raw;
-      // The first durable tier gets node-local SSD drive bandwidth; every
-      // deeper one shares the PFS uplink.
-      return ordinal == 0 ? storage::MakeSsdStore(topo, std::move(*raw))
-                          : storage::MakePfsStore(topo, std::move(*raw));
-    };
-    auto stack = core::TierStackFromConfig(cfg, factory);
-    if (!stack.ok()) return FromStatus(stack.status());
-    ctx->engine = std::make_unique<core::Engine>(
-        *ctx->cluster, std::move(**stack), opts, num_ranks);
-  } else {
-    const std::string ssd_dir = cfg.GetString("ssd_dir", "");
-    const std::string ssd_backend = ssd_dir.empty() ? "" : "file=" + ssd_dir;
-    auto ssd_raw = open_backend(ssd_backend);
-    if (!ssd_raw.ok()) return FromStatus(ssd_raw.status());
-    ctx->ssd = storage::MakeSsdStore(topo, std::move(*ssd_raw));
-    ctx->pfs = storage::MakePfsStore(topo, std::make_shared<storage::MemStore>());
-    ctx->engine = std::make_unique<core::Engine>(*ctx->cluster, ctx->ssd,
-                                                 ctx->pfs, opts, num_ranks);
-  }
+  // Backend specs were vetted above; opening them can still fail (an
+  // unwritable file= directory).
+  auto stack = core::TierStackFromConfig(
+      cfg, [&topo](const std::string&, const std::string& backend, int ordinal) {
+        return storage::OpenDurableBackend(topo, backend, ordinal);
+      });
+  if (!stack.ok()) return FromStatus(stack.status());
+  ctx->engine = std::make_unique<core::Engine>(*ctx->cluster, std::move(*stack),
+                                               opts, num_ranks);
   if (util::telemetry::enabled()) {
     ctx->sampler = std::make_unique<core::TelemetrySampler>(
         *ctx->engine, core::TelemetrySampler::Options::FromGlobalConfig());

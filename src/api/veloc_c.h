@@ -7,9 +7,15 @@
  * The shim owns the whole stack (simulated cluster, durable stores, engine)
  * as a process-global context configured from a key=value string:
  *
- *   gpu_cache = 4Mi, host_cache = 32Mi, eviction = score,
- *   gpudirect = false, discard_after_restore = false,
- *   terminal_tier = ssd | pfs, ssd_dir = /path  (empty = in-memory store)
+ *   eviction = score, gpudirect = false, discard_after_restore = false,
+ *   terminal_tier = <tier name>  (default: the first durable tier),
+ *   tenants = <spec>, trace*, telemetry* keys, and the tier layout, either
+ *   tiers = <spec>  (core/tier_stack.hpp grammar, ';'-separated) or the
+ *   default stack's shorthand keys
+ *   gpu_cache = 4Mi, host_cache = 32Mi, ssd_dir = /path (empty = in memory)
+ *   which expand to gpu:gpucache:<gpu_cache>;host:cache:<host_cache>;
+ *   ssd:durable[:file=<ssd_dir>];pfs:durable. Setting a shorthand key
+ *   together with `tiers` is VELOCX_EINVAL.
  *
  * All functions return VELOCX_SUCCESS (0) or a negative error code;
  * VELOCX_Error_string() describes the most recent failure on this thread.

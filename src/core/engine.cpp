@@ -1889,22 +1889,6 @@ const sim::PinnedStagingPool& Engine::StagingPoolOf(sim::Rank rank) const {
   return *ctx(rank).staging;
 }
 
-std::uint64_t Engine::GpuCacheUsed(sim::Rank rank) const {
-  std::uint64_t used = 0;
-  for (int i = 0; i < stack_.num_cache_tiers(); ++i) {
-    if (stack_.is_device(i)) used += CacheUsed(rank, i);
-  }
-  return used;
-}
-
-std::uint64_t Engine::HostCacheUsed(sim::Rank rank) const {
-  std::uint64_t used = 0;
-  for (int i = 0; i < stack_.num_cache_tiers(); ++i) {
-    if (!stack_.is_device(i)) used += CacheUsed(rank, i);
-  }
-  return used;
-}
-
 std::uint64_t Engine::PrefetchDistance(sim::Rank rank) const {
   const RankCtx& c = ctx(rank);
   std::lock_guard lock(c.mu);

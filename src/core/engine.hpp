@@ -285,10 +285,6 @@ class Engine final : public Runtime {
   /// its registration counters show reuse without timing.
   [[nodiscard]] const sim::PinnedStagingPool& StagingPoolOf(
       sim::Rank rank) const;
-  /// Legacy aliases: the device tier's usage, and the summed usage of the
-  /// pinned-host cache tiers.
-  [[nodiscard]] std::uint64_t GpuCacheUsed(sim::Rank rank) const;
-  [[nodiscard]] std::uint64_t HostCacheUsed(sim::Rank rank) const;
   /// Consecutive hinted successors already promoted to the fastest cache
   /// tier (the Fig. 7 prefetch-distance metric).
   [[nodiscard]] std::uint64_t PrefetchDistance(sim::Rank rank) const;

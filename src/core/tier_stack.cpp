@@ -131,22 +131,15 @@ util::StatusOr<TierStack> TierStack::Default(
     std::shared_ptr<storage::ObjectStore> ssd,
     std::shared_ptr<storage::ObjectStore> pfs, std::uint64_t gpu_cache_bytes,
     std::uint64_t host_cache_bytes, Tier terminal) {
-  std::vector<TierDesc> tiers;
-  tiers.push_back(TierDesc{"gpu", TierKind::kCache, CacheMedium::kDevice,
-                           gpu_cache_bytes, nullptr});
-  tiers.push_back(TierDesc{"host", TierKind::kCache, CacheMedium::kPinnedHost,
-                           host_cache_bytes, nullptr});
-  tiers.push_back(
-      TierDesc{"ssd", TierKind::kDurable, CacheMedium::kPinnedHost, 0,
-               std::move(ssd)});
-  if (pfs != nullptr) {
-    tiers.push_back(
-        TierDesc{"pfs", TierKind::kDurable, CacheMedium::kPinnedHost, 0,
-                 std::move(pfs)});
-  }
-  const std::string_view terminal_name =
-      terminal == Tier::kPfs ? "pfs" : "ssd";
-  return Create(std::move(tiers), terminal_name);
+  std::string spec = DefaultTierSpec(gpu_cache_bytes, host_cache_bytes);
+  // PFS is the spec's last entry; a stack without a PFS store omits it.
+  if (pfs == nullptr) spec.resize(spec.rfind(';'));
+  const TierStoreFactory stores =
+      [&ssd, &pfs](const std::string&, const std::string&, int ordinal)
+      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+    return ordinal == 0 ? ssd : pfs;
+  };
+  return ParseTierStack(spec, terminal == Tier::kPfs ? "pfs" : "ssd", stores);
 }
 
 std::optional<int> TierStack::IndexOf(std::string_view tier_name) const {
@@ -271,14 +264,35 @@ util::StatusOr<TierStack> ParseTierStack(std::string_view spec,
   return TierStack::Create(std::move(tiers), terminal_name);
 }
 
-util::StatusOr<std::optional<TierStack>> TierStackFromConfig(
-    const util::Config& cfg, const TierStoreFactory& factory) {
-  const auto spec = cfg.GetString("tiers");
-  if (!spec.has_value()) return std::optional<TierStack>{};
-  auto stack =
-      ParseTierStack(*spec, cfg.GetString("terminal_tier", ""), factory);
-  if (!stack.ok()) return stack.status();
-  return std::optional<TierStack>(std::move(*stack));
+std::string DefaultTierSpec(std::uint64_t gpu_cache_bytes,
+                            std::uint64_t host_cache_bytes,
+                            std::string_view ssd_dir) {
+  std::string spec = "gpu:gpucache:" + FormatSize(gpu_cache_bytes) +
+                     ";host:cache:" + FormatSize(host_cache_bytes) +
+                     ";ssd:durable";
+  if (!ssd_dir.empty()) spec += ":file=" + std::string(ssd_dir);
+  return spec + ";pfs:durable";
+}
+
+util::StatusOr<TierStack> TierStackFromConfig(const util::Config& cfg,
+                                              const TierStoreFactory& factory) {
+  const std::string terminal = cfg.GetString("terminal_tier", "");
+  if (const auto spec = cfg.GetString("tiers"); spec.has_value()) {
+    for (const char* key : {"gpu_cache", "host_cache", "ssd_dir"}) {
+      if (cfg.Has(key)) {
+        return util::InvalidArgument(
+            "'" + std::string(key) +
+            "' is shorthand for the default tier stack and cannot be "
+            "combined with 'tiers'");
+      }
+    }
+    return ParseTierStack(*spec, terminal, factory);
+  }
+  const std::string spec = DefaultTierSpec(
+      static_cast<std::uint64_t>(cfg.GetInt("gpu_cache", 4ll << 20)),
+      static_cast<std::uint64_t>(cfg.GetInt("host_cache", 32ll << 20)),
+      cfg.GetString("ssd_dir", ""));
+  return ParseTierStack(spec, terminal, factory);
 }
 
 }  // namespace ckpt::core

@@ -75,10 +75,11 @@ class TierStack {
   static util::StatusOr<TierStack> Create(std::vector<TierDesc> tiers,
                                           std::string_view terminal_name = {});
 
-  /// The paper's default stack: GPU HBM -> pinned host -> SSD [-> PFS].
-  /// The PFS tier is present iff `pfs` is non-null; `terminal` must name a
-  /// tier that exists. Used by the legacy Engine constructor, which keeps
-  /// its historical assert-on-misuse contract.
+  /// The paper's default stack, parsed from DefaultTierSpec with `ssd` and
+  /// `pfs` as its durable stores. The PFS tier is present iff `pfs` is
+  /// non-null; `terminal` must name a tier that exists. Used by the legacy
+  /// Engine constructor, which keeps its historical assert-on-misuse
+  /// contract.
   static util::StatusOr<TierStack> Default(
       std::shared_ptr<storage::ObjectStore> ssd,
       std::shared_ptr<storage::ObjectStore> pfs, std::uint64_t gpu_cache_bytes,
@@ -161,10 +162,9 @@ class TierStack {
 };
 
 /// Builds an ObjectStore for one durable tier of a parsed spec. `backend` is
-/// the spec's backend field ("mem", "file=<dir>", or an empty string meaning
-/// the default "mem"); `ordinal` is the tier's position among the durable
-/// tiers, which callers typically use to pick the bandwidth wrapper
-/// (NVMe-throttled for ordinal 0, PFS uplink beyond).
+/// the spec's backend field ("mem", "file=<dir>", "s3://…", or an empty
+/// string meaning the default "mem"); `ordinal` is the tier's position among
+/// the durable tiers. storage::OpenDurableBackend is the standard mapping.
 using TierStoreFactory =
     std::function<util::StatusOr<std::shared_ptr<storage::ObjectStore>>(
         const std::string& tier_name, const std::string& backend, int ordinal)>;
@@ -196,10 +196,20 @@ util::StatusOr<TierStack> ParseTierStack(std::string_view spec,
                                          std::string_view terminal_name,
                                          const TierStoreFactory& factory);
 
-/// Convenience: reads the "tiers" and "terminal_tier" keys of `cfg` and
-/// parses them. Returns an empty optional when `cfg` has no "tiers" key
-/// (caller falls back to the default stack).
-util::StatusOr<std::optional<TierStack>> TierStackFromConfig(
-    const util::Config& cfg, const TierStoreFactory& factory);
+/// The paper's default stack as a spec: GPU HBM -> pinned host -> SSD ->
+/// PFS, i.e. "gpu:gpucache:<gpu>;host:cache:<host>;ssd:durable[:file=<dir>];
+/// pfs:durable". An empty `ssd_dir` keeps the SSD tier in memory; a
+/// non-empty one must not contain the entry separators ',' or ';'.
+std::string DefaultTierSpec(std::uint64_t gpu_cache_bytes,
+                            std::uint64_t host_cache_bytes,
+                            std::string_view ssd_dir = {});
+
+/// Builds the stack a util::Config describes: its "tiers" spec, or without
+/// one the DefaultTierSpec of its "gpu_cache" (default 4Mi), "host_cache"
+/// (default 32Mi) and "ssd_dir" keys. "terminal_tier" names the terminal
+/// tier on both paths. Those three legacy keys are shorthand for the
+/// default spec, so combining any of them with "tiers" is kInvalidArgument.
+util::StatusOr<TierStack> TierStackFromConfig(const util::Config& cfg,
+                                              const TierStoreFactory& factory);
 
 }  // namespace ckpt::core

@@ -15,12 +15,6 @@ using Version = std::uint64_t;
 /// call sites and the default 4-tier mapping below stay readable.
 using TierIndex = int;
 
-/// Number of tiers in the *default* stack (GPU HBM -> pinned host -> SSD ->
-/// PFS, paper §2). Config-driven stacks may be shallower or deeper; code
-/// that still assumes the default layout must size by this constant and
-/// static_assert against it rather than bake in a literal 4.
-inline constexpr std::size_t kTierCount = 4;
-
 /// Tiers of the default stack in speed order. GPU and HOST are managed
 /// cache buffers; SSD and PFS are durable object stores with enough
 /// capacity for the whole history (paper §2 assumptions). For any other
@@ -32,9 +26,6 @@ enum class Tier : std::uint8_t {
   kSsd = 2,
   kPfs = 3,
 };
-
-static_assert(static_cast<std::size_t>(Tier::kPfs) + 1 == kTierCount,
-              "default Tier enum and kTierCount must stay in sync");
 
 [[nodiscard]] constexpr std::string_view to_string(Tier t) noexcept {
   switch (t) {

@@ -8,7 +8,6 @@
 
 #include "core/telemetry_sampler.hpp"
 #include "core/telemetry_sink.hpp"
-#include "storage/remote_store.hpp"
 #include "core/tenant.hpp"
 #include "core/trace_sink.hpp"
 #include "util/clock.hpp"
@@ -46,95 +45,68 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
     return util::InvalidArgument("more ranks than simulated GPUs");
   }
 
-  // Durable tiers: in-memory object stores behind the NVMe / PFS bandwidth
-  // models (benches avoid real disk I/O variance; the FileStore path is
-  // exercised by tests and examples). Transient fault injection wraps the
-  // SSD tier — i.e. the first durable tier of a custom stack.
-  const auto faulty = [&cfg](std::shared_ptr<storage::ObjectStore> inner)
-      -> std::shared_ptr<storage::ObjectStore> {
-    if (cfg.ssd_fault_rate <= 0.0) return inner;
-    storage::FaultyStore::Options fopts;
-    fopts.seed = cfg.ssd_fault_seed;
-    fopts.put_fail_rate = cfg.ssd_fault_rate;
-    fopts.get_fail_rate = cfg.ssd_fault_rate;
-    fopts.rate_fault_kind = storage::FaultKind::kTransient;
-    return std::make_shared<storage::FaultyStore>(std::move(inner), fopts);
-  };
-  auto ssd = storage::MakeSsdStore(
-      cluster.topology(), faulty(std::make_shared<storage::MemStore>()));
-  auto pfs = storage::MakePfsStore(cluster.topology(),
-                                   std::make_shared<storage::MemStore>());
-
-  std::unique_ptr<core::Runtime> runtime;
-  switch (cfg.approach) {
-    case Approach::kScore: {
-      core::EngineOptions opts;
-      opts.gpu_cache_bytes = cfg.gpu_cache_bytes;
-      opts.host_cache_bytes = cfg.host_cache_bytes;
-      opts.eviction = cfg.eviction;
-      opts.split_flush_prefetch = cfg.split_flush_prefetch;
-      opts.discard_after_restore = cfg.discard_after_restore;
-      opts.gpudirect = cfg.gpudirect;
-      opts.terminal_tier = cfg.terminal_tier;
-      if (!cfg.tiers.empty()) {
-        core::TierStoreFactory factory = cfg.tier_store_factory;
-        if (!factory) {
-          factory = [&cluster, &faulty](std::string_view tier,
-                                        std::string_view backend, int ordinal)
-              -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-            if (backend.substr(0, 5) == "s3://") {
-              // Remote backends charge the fabric themselves; no bandwidth
-              // decorator. The first durable tier still honors the harness
-              // fault-injection knobs.
-              auto remote =
-                  storage::OpenRemoteBackend(backend, &cluster.topology());
-              if (!remote.ok()) return remote.status();
-              return ordinal == 0 ? faulty(std::move(*remote))
-                                  : std::move(*remote);
-            }
-            if (!backend.empty() && backend != "mem") {
-              return util::InvalidArgument(
-                  "tier '" + std::string(tier) + "': the harness only builds "
-                  "'mem' and 's3://' backends (pass a tier_store_factory for "
-                  "others)");
-            }
-            std::shared_ptr<storage::ObjectStore> raw =
-                std::make_shared<storage::MemStore>();
-            if (ordinal == 0) {
-              return storage::MakeSsdStore(cluster.topology(),
-                                           faulty(std::move(raw)));
-            }
-            return storage::MakePfsStore(cluster.topology(), std::move(raw));
+  // Durable tiers come from the backend opener: benches keep them in memory
+  // behind the NVMe / PFS bandwidth models (no real disk I/O variance).
+  // Transient fault injection wraps the first durable tier's raw store.
+  const core::TierStoreFactory open_store =
+      [&cluster, &cfg](const std::string&, const std::string& backend,
+                       int ordinal) {
+        storage::StoreDecorator faulty;
+        if (ordinal == 0 && cfg.ssd_fault_rate > 0.0) {
+          faulty = [&cfg](std::shared_ptr<storage::ObjectStore> inner)
+              -> std::shared_ptr<storage::ObjectStore> {
+            storage::FaultyStore::Options fopts;
+            fopts.seed = cfg.ssd_fault_seed;
+            fopts.put_fail_rate = cfg.ssd_fault_rate;
+            fopts.get_fail_rate = cfg.ssd_fault_rate;
+            fopts.rate_fault_kind = storage::FaultKind::kTransient;
+            return std::make_shared<storage::FaultyStore>(std::move(inner),
+                                                          fopts);
           };
         }
-        auto stack =
-            core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name, factory);
-        if (!stack.ok()) return stack.status();
-        runtime = std::make_unique<core::Engine>(cluster, std::move(*stack),
-                                                 opts, cfg.num_ranks);
-        break;
-      }
-      runtime = std::make_unique<core::Engine>(cluster, ssd, pfs, opts,
-                                               cfg.num_ranks);
-      break;
-    }
-    case Approach::kUvm: {
+        return storage::OpenDurableBackend(cluster.topology(), backend, ordinal,
+                                           faulty);
+      };
+
+  std::unique_ptr<core::Runtime> runtime;
+  if (cfg.approach == Approach::kScore) {
+    core::EngineOptions opts;
+    opts.eviction = cfg.eviction;
+    opts.split_flush_prefetch = cfg.split_flush_prefetch;
+    opts.discard_after_restore = cfg.discard_after_restore;
+    opts.gpudirect = cfg.gpudirect;
+    auto stack = core::ParseTierStack(
+        cfg.tiers.empty()
+            ? core::DefaultTierSpec(cfg.gpu_cache_bytes, cfg.host_cache_bytes)
+            : cfg.tiers,
+        cfg.terminal_tier_name,
+        cfg.tier_store_factory ? cfg.tier_store_factory : open_store);
+    if (!stack.ok()) return stack.status();
+    runtime = std::make_unique<core::Engine>(cluster, std::move(*stack), opts,
+                                             cfg.num_ranks);
+  } else {
+    // The baselines model the default stack's SSD and PFS tiers.
+    auto ssd = open_store("ssd", "", 0);
+    if (!ssd.ok()) return ssd.status();
+    auto pfs = open_store("pfs", "", 1);
+    if (!pfs.ok()) return pfs.status();
+    const core::Tier terminal = cfg.terminal_tier_name == "pfs"
+                                    ? core::Tier::kPfs
+                                    : core::Tier::kSsd;
+    if (cfg.approach == Approach::kUvm) {
       uvm::UvmRuntimeOptions opts;
       opts.uvm.device_cache_bytes = cfg.gpu_cache_bytes;
-      opts.terminal_tier = cfg.terminal_tier;
+      opts.terminal_tier = terminal;
       opts.discard_after_restore = cfg.discard_after_restore;
       opts.use_hints = cfg.shot.hint_mode != rtm::HintMode::kNone;
-      runtime = std::make_unique<uvm::UvmRuntime>(cluster, ssd, pfs, opts,
+      runtime = std::make_unique<uvm::UvmRuntime>(cluster, *ssd, *pfs, opts,
                                                   cfg.num_ranks);
-      break;
-    }
-    case Approach::kAdios: {
+    } else {
       adios::AdiosOptions opts;
       opts.host_buffer_bytes = cfg.host_cache_bytes * 2;  // BP5 pools are roomy
-      opts.terminal_tier = cfg.terminal_tier;
-      runtime = std::make_unique<adios::AdiosRuntime>(cluster, ssd, pfs, opts,
-                                                      cfg.num_ranks);
-      break;
+      opts.terminal_tier = terminal;
+      runtime = std::make_unique<adios::AdiosRuntime>(cluster, *ssd, *pfs,
+                                                      opts, cfg.num_ranks);
     }
   }
 
@@ -219,44 +191,21 @@ util::StatusOr<MultiTenantResult> RunMultiTenantExperiment(
   }
 
   core::EngineOptions opts;
-  opts.gpu_cache_bytes = cfg.gpu_cache_bytes;
-  opts.host_cache_bytes = cfg.host_cache_bytes;
   opts.eviction = cfg.eviction;
   opts.tenants = std::move(*specs);
 
-  std::unique_ptr<core::Engine> engine;
-  if (!cfg.tiers.empty()) {
-    const core::TierStoreFactory factory =
-        [&cluster](std::string_view tier, std::string_view backend, int ordinal)
-        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      if (backend.substr(0, 5) == "s3://") {
-        return storage::OpenRemoteBackend(backend, &cluster.topology());
-      }
-      if (!backend.empty() && backend != "mem") {
-        return util::InvalidArgument("tier '" + std::string(tier) +
-                                     "': the multi-tenant harness only builds "
-                                     "'mem' and 's3://' backends");
-      }
-      std::shared_ptr<storage::ObjectStore> raw =
-          std::make_shared<storage::MemStore>();
-      if (ordinal == 0) {
-        return storage::MakeSsdStore(cluster.topology(), std::move(raw));
-      }
-      return storage::MakePfsStore(cluster.topology(), std::move(raw));
-    };
-    auto stack =
-        core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name, factory);
-    if (!stack.ok()) return stack.status();
-    engine = std::make_unique<core::Engine>(cluster, std::move(*stack), opts,
-                                            num_ranks);
-  } else {
-    auto ssd = storage::MakeSsdStore(cluster.topology(),
-                                     std::make_shared<storage::MemStore>());
-    auto pfs = storage::MakePfsStore(cluster.topology(),
-                                     std::make_shared<storage::MemStore>());
-    engine = std::make_unique<core::Engine>(cluster, std::move(ssd),
-                                            std::move(pfs), opts, num_ranks);
-  }
+  auto stack = core::ParseTierStack(
+      cfg.tiers.empty()
+          ? core::DefaultTierSpec(cfg.gpu_cache_bytes, cfg.host_cache_bytes)
+          : cfg.tiers,
+      cfg.terminal_tier_name,
+      [&cluster](const std::string&, const std::string& backend, int ordinal) {
+        return storage::OpenDurableBackend(cluster.topology(), backend,
+                                           ordinal);
+      });
+  if (!stack.ok()) return stack.status();
+  auto engine = std::make_unique<core::Engine>(cluster, std::move(*stack),
+                                               opts, num_ranks);
 
   std::unique_ptr<core::TelemetrySampler> sampler;
   if (util::telemetry::enabled()) {

@@ -51,29 +51,30 @@ struct ExperimentConfig {
   bool split_flush_prefetch = false;
   bool discard_after_restore = false;
   bool gpudirect = false;  ///< Score engine only: GPUDirect Storage extension
-  core::Tier terminal_tier = core::Tier::kSsd;
 
   /// Fault injection on the SSD tier (DESIGN.md §8): every put/get fails
   /// transiently with this probability, exercising the retry/degradation
   /// machinery under load. 0 disables the FaultyStore wrapper entirely.
-  /// With a custom `tiers` spec the wrapper lands on the first durable
-  /// tier's backend.
+  /// The wrapper lands on the first durable tier's backend, inside its
+  /// bandwidth model.
   double ssd_fault_rate = 0.0;
   std::uint64_t ssd_fault_seed = 42;
 
   /// N-tier stack spec for the Score engine ("name:kind[:arg[:policy]],..."
   /// — see core/tier_stack.hpp), e.g. "host:cache:32Mi,ssd:durable" for a
   /// host-only stack or "gpu:gpucache:4Mi:score,host:cache:32Mi:fifo,
-  /// ssd:durable" for a mixed-policy hierarchy. Empty = the classic
-  /// GPU -> host -> SSD [-> PFS] stack built from the knobs above. Only
+  /// ssd:durable" for a mixed-policy hierarchy. Empty = the paper's default
+  /// stack, core::DefaultTierSpec(gpu_cache_bytes, host_cache_bytes). Only
   /// meaningful for Approach::kScore.
   std::string tiers;
-  /// Terminal tier name for `tiers` (empty = its first durable tier).
+  /// Terminal tier name, applied to `tiers` or to the default stack (empty =
+  /// the first durable tier); a name not in the stack fails the run with
+  /// kInvalidArgument. The baselines model only SSD and PFS: they take the
+  /// PFS terminal iff this is "pfs".
   std::string terminal_tier_name;
-  /// Test hook: overrides the store factory for `tiers` entries (e.g. to
-  /// inject a FaultyStore on a chosen durable tier). The default factory
-  /// builds in-memory stores behind the NVMe (first durable tier) / PFS
-  /// (deeper tiers) bandwidth models, honoring ssd_fault_rate.
+  /// Test hook: overrides the store factory for the Score engine's durable
+  /// tiers (e.g. to inject a FaultyStore on a chosen one). The default opens
+  /// each backend with storage::OpenDurableBackend, honoring ssd_fault_rate.
   core::TierStoreFactory tier_store_factory;
 };
 
@@ -120,7 +121,8 @@ struct MultiTenantConfig {
   std::uint64_t gpu_cache_bytes = 4ull << 20;
   std::uint64_t host_cache_bytes = 32ull << 20;
   core::EvictionKind eviction = core::EvictionKind::kScore;
-  /// Optional N-tier stack spec (see ExperimentConfig::tiers).
+  /// Optional N-tier stack spec and terminal tier name, as in
+  /// ExperimentConfig (empty `tiers` = the default stack).
   std::string tiers;
   std::string terminal_tier_name;
   /// Tenant A workload.
@@ -176,7 +178,9 @@ util::StatusOr<MultiTenantResult> RunMultiTenantExperiment(
 ///                           per-tier eviction policies
 ///                           ("name:kind[:arg[:policy]],...";
 ///                           default empty = classic 4-tier stack)
-///   CKPT_BENCH_TERMINAL     terminal tier name for CKPT_BENCH_TIERS
+///   CKPT_BENCH_TERMINAL     terminal tier name, for CKPT_BENCH_TIERS or
+///                           the default stack (default empty = first
+///                           durable tier)
 struct BenchScale {
   int num_ckpts;
   int num_ranks;

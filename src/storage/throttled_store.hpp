@@ -1,5 +1,6 @@
 // Bandwidth-model decorator for object stores, plus factory helpers that
-// bind a store to the simulated node's NVMe drives or the global PFS uplink.
+// bind a store to the simulated node's NVMe drives or the global PFS uplink,
+// and the one opener that maps a tier spec's durable backend to a store.
 // Charging happens *during* the operation (interleaved per chunk at the
 // limiter level), so concurrent flushes and prefetches share drive bandwidth
 // the way the paper's evaluation exercises it.
@@ -7,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "simgpu/topology.hpp"
@@ -73,5 +75,22 @@ std::shared_ptr<ObjectStore> MakeSsdStore(const sim::Topology& topo,
 /// Wraps `inner` with the global PFS uplink bandwidth.
 std::shared_ptr<ObjectStore> MakePfsStore(const sim::Topology& topo,
                                           std::shared_ptr<ObjectStore> inner);
+
+using StoreDecorator =
+    std::function<std::shared_ptr<ObjectStore>(std::shared_ptr<ObjectStore>)>;
+
+/// Opens the store a durable tier's backend spec names. "" and "mem" (an
+/// in-memory store) and "file=<dir>" (a FileStore) sit behind the NVMe model
+/// at durable ordinal 0 and behind the PFS uplink deeper. "s3://<bucket>
+/// [?opts]" opens through OpenRemoteBackend with no bandwidth wrapper:
+/// RemoteStore charges the fabric itself, so a wrapper would charge the same
+/// bytes twice. `decorate`, when set, wraps the raw store inside any
+/// bandwidth model (fault injection).
+util::StatusOr<std::shared_ptr<ObjectStore>> OpenDurableBackend(
+    const sim::Topology& topo, std::string_view backend, int ordinal,
+    const StoreDecorator& decorate = {});
+
+/// Validates `backend` with OpenDurableBackend's dispatch; opens nothing.
+util::Status CheckDurableBackend(std::string_view backend);
 
 }  // namespace ckpt::storage

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -118,6 +119,51 @@ TEST_F(VelocCApiTest, TiersConfigBuildsCustomStack) {
   ASSERT_EQ(VELOCX_Device_free(0, ptr), VELOCX_SUCCESS);
 }
 
+/// Checkpoints one 8 KiB region as version 0 of rank 0, waits for its
+/// flush, and restores it byte-exact.
+void RoundTripOneCheckpoint() {
+  void* ptr = nullptr;
+  ASSERT_EQ(VELOCX_Device_alloc(0, 8192, &ptr), VELOCX_SUCCESS);
+  ASSERT_EQ(VELOCX_Mem_protect(0, 1, ptr, 8192), VELOCX_SUCCESS);
+  std::memset(ptr, 0x6c, 8192);
+  ASSERT_EQ(VELOCX_Checkpoint(0, "rt", 0), VELOCX_SUCCESS);
+  ASSERT_EQ(VELOCX_Checkpoint_wait(0), VELOCX_SUCCESS);
+  std::memset(ptr, 0, 8192);
+  ASSERT_EQ(VELOCX_Restart(0, 0), VELOCX_SUCCESS);
+  EXPECT_EQ(static_cast<unsigned char*>(ptr)[2048], 0x6c);
+  ASSERT_EQ(VELOCX_Device_free(0, ptr), VELOCX_SUCCESS);
+}
+
+TEST_F(VelocCApiTest, SsdDirKeyPersistsToThatDirectory) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "velocx_ssd_dir";
+  fs::remove_all(dir);
+  const std::string cfg = "ssd_dir = " + dir.string();
+  ASSERT_EQ(VELOCX_Init(cfg.c_str(), 1), VELOCX_SUCCESS);
+  RoundTripOneCheckpoint();
+  std::size_t objects = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ckpt") ++objects;
+  }
+  EXPECT_EQ(objects, 1u);
+  ASSERT_EQ(VELOCX_Finalize(), VELOCX_SUCCESS);
+  fs::remove_all(dir);
+}
+
+TEST_F(VelocCApiTest, TerminalTierKeyWithoutTiers) {
+  ASSERT_EQ(VELOCX_Init("terminal_tier = pfs", 1), VELOCX_SUCCESS);
+  RoundTripOneCheckpoint();
+  ASSERT_EQ(VELOCX_Finalize(), VELOCX_SUCCESS);
+
+  EXPECT_EQ(VELOCX_Init("terminal_tier = tape", 1), VELOCX_EINVAL);
+  EXPECT_NE(std::string(VELOCX_Error_string()).find("tape"),
+            std::string::npos);
+  // A failed Init leaves the runtime un-initialized.
+  EXPECT_EQ(VELOCX_Checkpoint(0, "x", 0), VELOCX_EINVAL);
+  void* p = nullptr;
+  EXPECT_EQ(VELOCX_Device_alloc(0, 128, &p), VELOCX_ESHUTDOWN);
+}
+
 TEST_F(VelocCApiTest, TiersConfigAcceptsPerTierPolicies) {
   // Mixed-policy stack through the C API: gpu=score, host=fifo, and the
   // legacy global "eviction" key only sets the default for silent tiers.
@@ -170,6 +216,20 @@ TEST_F(VelocCApiTest, RejectedConfigConfiguresNothing) {
                         1),
             VELOCX_EINVAL);
   EXPECT_FALSE(ckpt::util::trace::enabled());
+  // The legacy cache/SSD keys are shorthand for the default stack: with an
+  // explicit "tiers" spec they contradict it and are rejected by name.
+  for (const char* key : {"gpu_cache = 1Mi", "host_cache = 1Mi",
+                          "ssd_dir = /nonexistent"}) {
+    const std::string cfg =
+        std::string("trace = true, tiers = host:cache:1Mi;ssd:durable, ") +
+        key;
+    EXPECT_EQ(VELOCX_Init(cfg.c_str(), 1), VELOCX_EINVAL) << key;
+    const std::string name(key, std::strchr(key, ' '));
+    EXPECT_NE(std::string(VELOCX_Error_string()).find(name),
+              std::string::npos)
+        << VELOCX_Error_string();
+    EXPECT_FALSE(ckpt::util::trace::enabled());
+  }
   EXPECT_EQ(VELOCX_Checkpoint(0, "x", 0), VELOCX_EINVAL);
 }
 

@@ -49,7 +49,7 @@ TEST(HostCacheWeightsTest, WeightedRunRoundTripsWithSkewedLoad) {
   }
   threads.clear();
   // Rank 0's larger partition retains more of its history in host RAM.
-  EXPECT_GT(engine.HostCacheUsed(0), engine.HostCacheUsed(1));
+  EXPECT_GT(engine.CacheUsed(0, 1), engine.CacheUsed(1, 1));
 }
 
 TEST(HostCacheWeightsTest, WeightedPartitionsStillFunctionalWhenTiny) {

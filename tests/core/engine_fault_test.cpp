@@ -178,7 +178,7 @@ TEST_F(EngineFaultTest, StrictModeMarksFlushFailedAndSurfacesErrors) {
   EXPECT_EQ(*state, CkptState::kFlushFailed);
   EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
   EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_EQ(engine_->GpuCacheUsed(0), 0u);  // cache space was reclaimed
+  EXPECT_EQ(engine_->CacheUsed(0, 0), 0u);  // cache space was reclaimed
   const RankMetrics& m = engine_->metrics(0);
   EXPECT_GE(m.checkpoints_lost, 1u);
   EXPECT_EQ(m.tier_degradations, 0u);

@@ -65,7 +65,7 @@ TEST_F(GpuDirectTest, FlushBypassesHostCache) {
   EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
   // The defining property: the host cache is never touched by the flush.
   EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_EQ(engine_->CacheUsed(0, 1), 0u);
   auto state = engine_->StateOf(0, 0);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, CkptState::kFlushed);
@@ -87,7 +87,7 @@ TEST_F(GpuDirectTest, HistoryBeyondGpuCacheRoundTrips) {
   for (Version v = 0; v < kN; ++v) WriteCkpt(v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   EXPECT_EQ(ssd_->Keys().size(), static_cast<std::size_t>(kN));
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_EQ(engine_->CacheUsed(0, 1), 0u);
   for (int v = kN - 1; v >= 0; --v) RestoreAndVerify(static_cast<Version>(v));
 }
 
@@ -107,7 +107,7 @@ TEST_F(GpuDirectTest, PromotionsGoStoreToGpuDirectly) {
   const auto& m = engine_->metrics(0);
   EXPECT_GT(m.prefetch_promotions + m.prefetch_gpu_hits, 0u);
   EXPECT_EQ(m.restores_from_host, 0u);  // host tier never involved
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_EQ(engine_->CacheUsed(0, 1), 0u);
 }
 
 TEST_F(GpuDirectTest, DirectRestoreSkipsPinnedStaging) {

@@ -136,7 +136,7 @@ TEST_F(EngineTest, HistoryLargerThanCachesSpillsAndRestores) {
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   // Every checkpoint durable; early ones evicted from the GPU cache.
   EXPECT_EQ(ssd_->Keys().size(), 32u);
-  EXPECT_LE(engine_->GpuCacheUsed(0), 4 * kCkptSize);
+  EXPECT_LE(engine_->CacheUsed(0, 0), 4 * kCkptSize);
   for (Version v = 0; v < 32; ++v) RestoreAndVerify(0, v);
 }
 

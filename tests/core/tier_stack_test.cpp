@@ -31,7 +31,7 @@ TierDesc Durable(std::string name) {
 TEST(TierStackDefault, MatchesTheLegacyFourTierLayout) {
   auto stack = TierStack::Default(Mem(), Mem(), 4 << 20, 32 << 20, Tier::kSsd);
   ASSERT_TRUE(stack.ok()) << stack.status();
-  EXPECT_EQ(stack->size(), kTierCount);
+  EXPECT_EQ(stack->size(), 4u);
   EXPECT_EQ(stack->num_cache_tiers(), 2);
   EXPECT_EQ(stack->num_durable_tiers(), 2);
   // The Tier enum doubles as this stack's indices.
@@ -332,7 +332,19 @@ TEST(TierStackFromConfig, AbsentKeyMeansDefaultStack) {
   ASSERT_TRUE(cfg.ok());
   auto stack = TierStackFromConfig(*cfg, /*factory=*/{});
   ASSERT_TRUE(stack.ok()) << stack.status();
-  EXPECT_FALSE(stack->has_value());
+  EXPECT_EQ(stack->ToString(), "gpu(4Mi)>host(32Mi)>ssd*>pfs");
+}
+
+TEST(TierStackFromConfig, LegacyKeysFillTheDefaultSpec) {
+  auto cfg = util::Config::Parse(
+      "gpu_cache=512Ki\nhost_cache=3000\nterminal_tier=pfs\n");
+  ASSERT_TRUE(cfg.ok());
+  auto stack = TierStackFromConfig(*cfg, /*factory=*/{});
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  EXPECT_EQ(stack->ToString(), "gpu(512Ki)>host(3000)>ssd>pfs*");
+  EXPECT_EQ(DefaultTierSpec(1 << 20, 2 << 20, "/ckpt"),
+            "gpu:gpucache:1Mi;host:cache:2Mi;ssd:durable:file=/ckpt;"
+            "pfs:durable");
 }
 
 TEST(TierStackFromConfig, ParsesTiersAndTerminalKeys) {
@@ -344,9 +356,8 @@ TEST(TierStackFromConfig, ParsesTiersAndTerminalKeys) {
   ASSERT_TRUE(cfg.ok());
   auto stack = TierStackFromConfig(*cfg, /*factory=*/{});
   ASSERT_TRUE(stack.ok()) << stack.status();
-  ASSERT_TRUE(stack->has_value());
-  EXPECT_EQ((**stack).terminal(), 3);
-  EXPECT_EQ((**stack).ToString(), "gpu(1Mi)>host(2Mi)>ssd>pfs*");
+  EXPECT_EQ(stack->terminal(), 3);
+  EXPECT_EQ(stack->ToString(), "gpu(1Mi)>host(2Mi)>ssd>pfs*");
 }
 
 TEST(TierStackFromConfig, InvalidSpecSurfacesAtInitTime) {

@@ -76,6 +76,52 @@ TEST(HarnessTest, EveryApproachBuildsAndRuns) {
   }
 }
 
+ExperimentConfig SmallScoreShot() {
+  ExperimentConfig cfg;
+  cfg.topology = sim::TopologyConfig::Testing();
+  cfg.num_ranks = 1;
+  cfg.gpu_cache_bytes = 128 << 10;
+  cfg.host_cache_bytes = 512 << 10;
+  cfg.shot.num_ckpts = 6;
+  cfg.shot.trace.num_snapshots = 6;
+  cfg.shot.trace.uniform_size = 16 << 10;
+  cfg.shot.compute_interval = std::chrono::microseconds(50);
+  cfg.shot.verify = true;
+  return cfg;
+}
+
+TEST(HarnessTest, TerminalNameAppliesToTheDefaultStack) {
+  ExperimentConfig cfg = SmallScoreShot();
+  cfg.terminal_tier_name = "pfs";
+  // The deeper tiers are written by a drain; the barrier lets every
+  // checkpoint reach the terminal before the shot's metrics are taken.
+  cfg.shot.wait_for_flush = true;
+  auto result = RunExperiment(cfg);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->shot.verify_failures, 0u);
+  ASSERT_EQ(result->shot.merged.flush_bytes_to_tier.size(), 4u);
+  EXPECT_GT(result->shot.merged.flush_bytes_to_tier[3], 0u);  // pfs
+}
+
+TEST(HarnessTest, UnknownTerminalNameIsRejected) {
+  ExperimentConfig cfg = SmallScoreShot();
+  cfg.terminal_tier_name = "tape";
+  EXPECT_EQ(RunExperiment(cfg).status().code(),
+            util::ErrorCode::kInvalidArgument);
+
+  MultiTenantConfig mt;
+  mt.topology = sim::TopologyConfig::Testing();
+  mt.ranks_per_tenant = 1;
+  mt.gpu_cache_bytes = 128 << 10;
+  mt.host_cache_bytes = 512 << 10;
+  mt.shot = cfg.shot;
+  mt.synth_ckpts = 4;
+  mt.synth_ckpt_bytes = 16 << 10;
+  mt.terminal_tier_name = "tape";
+  EXPECT_EQ(RunMultiTenantExperiment(mt).status().code(),
+            util::ErrorCode::kInvalidArgument);
+}
+
 TEST(HarnessTest, Table1Notation) {
   EXPECT_EQ(ConfigName(Approach::kScore, rtm::HintMode::kNone), "No hints, Score");
   EXPECT_EQ(ConfigName(Approach::kAdios, rtm::HintMode::kAll),

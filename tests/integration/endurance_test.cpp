@@ -42,8 +42,8 @@ TEST(EnduranceTest, ThreeConsecutiveShotsOnOneEngine) {
       ASSERT_TRUE(CheckPattern(0, v, buf, 24 << 10)) << "shot " << shot;
     }
     // Steady state between shots: caches bounded, store holds all history.
-    EXPECT_LE(engine.GpuCacheUsed(0), opts.gpu_cache_bytes);
-    EXPECT_LE(engine.HostCacheUsed(0), opts.host_cache_bytes);
+    EXPECT_LE(engine.CacheUsed(0, 0), opts.gpu_cache_bytes);
+    EXPECT_LE(engine.CacheUsed(0, 1), opts.host_cache_bytes);
     EXPECT_EQ(ssd->Keys().size(),
               static_cast<std::size_t>((shot + 1) * kPerShot));
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include <thread>
@@ -102,6 +104,39 @@ TEST(ThrottledStoreTest, DifferentRanksUseDifferentDrives) {
   }
   const double both = sw.ElapsedSec();
   EXPECT_LT(both, single * 1.7);
+}
+
+TEST(OpenDurableBackendTest, WrapsLocalBackendsAndLeavesRemoteUnwrapped) {
+  sim::Topology topo(sim::TopologyConfig::Testing());
+  int decorated = 0;
+  const StoreDecorator count = [&decorated](std::shared_ptr<ObjectStore> s) {
+    ++decorated;
+    return s;
+  };
+  auto mem = OpenDurableBackend(topo, "mem", 0, count);
+  ASSERT_TRUE(mem.ok()) << mem.status();
+  EXPECT_NE(std::dynamic_pointer_cast<ThrottledStore>(*mem), nullptr);
+  // RemoteStore charges the fabric itself: no bandwidth wrapper on top.
+  auto remote = OpenDurableBackend(topo, "s3://bucket", 0, count);
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_EQ(std::dynamic_pointer_cast<ThrottledStore>(*remote), nullptr);
+  EXPECT_EQ(decorated, 2);
+  EXPECT_EQ(OpenDurableBackend(topo, "tape://x", 0).status().code(),
+            util::ErrorCode::kInvalidArgument);
+}
+
+TEST(OpenDurableBackendTest, CheckValidatesWithoutOpening) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "check_durable_backend";
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(CheckDurableBackend("file=" + dir.string()).ok());
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_TRUE(CheckDurableBackend("").ok());
+  EXPECT_TRUE(CheckDurableBackend("s3://b?part=1Mi").ok());
+  EXPECT_EQ(CheckDurableBackend("s3://b?part=0").code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(CheckDurableBackend("tape://x").code(),
+            util::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace
